@@ -5,11 +5,12 @@ All entropic quantities are reported in bits (log base 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, default_tol, is_incoherent_state, williamson_spectrum
+from .core import GaussianState, default_tol, williamson_spectrum
 from .errors import InvariantViolationError
 
 # below this occupation a mode is treated as exactly empty (0 log 0 = 0)
@@ -20,7 +21,9 @@ def _g(x: float) -> float:
     """Bosonic entropy function (x+1) log2(x+1) - x log2 x, with g(0) = 0."""
     if x <= _ZERO_OCCUPATION:
         return 0.0
-    return float((x + 1.0) * np.log2(x + 1.0) - x * np.log2(x))
+    # g(x) = log2(x+1) + x log2(1 + 1/x): no difference of two large terms,
+    # which cancels at large occupations
+    return float(math.log1p(x) + x * math.log1p(1.0 / x)) / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,3 @@ def relative_entropy_to_thermal(state: GaussianState, n_ref: list[float]) -> flo
     )
     return float(-von_neumann_entropy(state) + cross)
 
-
-def coherence_is_zero(state: GaussianState, tol: float | None = None) -> bool:
-    """True iff the state carries no coherence (is a thermal product)."""
-    return is_incoherent_state(state, tol) is not None

@@ -145,6 +145,29 @@ def is_pure(state: GaussianState, tol: float | None = None) -> bool:
     return abs(np.linalg.det(state.cov) - 1.0) <= max(t, DEFAULT_TOL_REL)
 
 
+def block_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation and reflection parts of every 2x2 block of ``cov``.
+
+    Block (i, j) splits uniquely as p R(alpha) + q R(beta) Z, with R the
+    rotation of :func:`gausscoh.equivalence.rotation` and Z = diag(1, -1).
+    The parts are returned as complex m x m arrays P = p e^{i alpha} and
+    Q = q e^{i beta} (a stack of covariances gives stacks of parts). The
+    block's singular values are p + q and |p - q|, its squared Frobenius
+    norm is 2 (p^2 + q^2), and conjugating it as R(a) block R(b)^t
+    multiplies P by e^{i(a - b)} and Q by e^{i(a + b)}.
+    """
+    # viewed as complex, row r holds cov[r, 2j] + i cov[r, 2j+1] in column j
+    z = np.ascontiguousarray(cov, dtype=float).view(complex)
+    x_row, ip_row = z[..., 0::2, :], 1j * z[..., 1::2, :]
+    return 0.5 * (x_row - ip_row), 0.5 * np.conj(x_row + ip_row)
+
+
+def block_norms(cov: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the 2x2 blocks of ``cov``, as an m x m array."""
+    m = cov.shape[0] // 2
+    return np.sqrt((cov * cov).reshape(m, 2, m, 2).sum(axis=(1, 3)))
+
+
 def is_incoherent_state(
     state: GaussianState, tol: float | None = None
 ) -> list[float] | None:
@@ -157,16 +180,9 @@ def is_incoherent_state(
     t = default_tol(state.cov, tol)
     if np.linalg.norm(state.mean) > t:
         return None
-    m = state.modes
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.linalg.norm(state.cross_cov(i, j)) > t:
-                return None
-    n_bars = []
-    for i in range(m):
-        block = state.mode_cov(i)
-        lam = (block[0, 0] + block[1, 1]) / 2.0
-        if np.linalg.norm(block - lam * np.eye(2)) > t:
-            return None
-        n_bars.append(max((lam - 1.0) / 2.0, 0.0))
-    return n_bars
+    diag = state.cov.diagonal()
+    lam = (diag[0::2] + diag[1::2]) / 2.0
+    # what the thermal part leaves: cross blocks and each mode's anisotropy
+    if np.max(block_norms(state.cov - np.diag(np.repeat(lam, 2)))) > t:
+        return None
+    return [max((x - 1.0) / 2.0, 0.0) for x in lam]

@@ -2,22 +2,40 @@
 
 Two coherent states are mutually convertible by incoherent Gaussian
 channels iff they are related by an incoherent unitary: a mode permutation
-composed with per-mode SO(2) rotations. The decider searches that finite
-family (permutations pruned by mode fingerprints, angles solved from
-alignment constraints) and emits the unitary as a verifiable certificate.
+composed with per-mode SO(2) rotations. :func:`decide_equivalence` searches
+that group directly and emits the unitary as a verifiable certificate.
+
+After the cheap checks (incoherence, the theorem's hypothesis, the
+symplectic spectrum, per-mode labels), one backtracking search walks the
+modes of rho in BFS order over its cross blocks and gives each a target
+mode and an angle together. Every 2x2 block splits into a rotation part and
+a reflection part (:func:`gausscoh.core.block_parts`), and each part, like
+each mean, fixes an angle, a difference or a sum of two angles in closed
+form, so no angle is scanned. A placed mode's mean and blocks to the modes
+placed before it are checked at once against the acceptance threshold;
+each complete assignment is accepted only on its full residual.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from .coherence import relative_entropy_coherence
-from .core import GaussianState, default_tol, is_incoherent_state, validate_state
+from .core import (
+    GaussianState,
+    block_norms,
+    block_parts,
+    default_tol,
+    is_incoherent_state,
+    validate_state,
+    williamson_spectrum,
+)
 from .errors import ShapeError
 
 #: default relative residual tolerance for accepting a certificate
@@ -108,15 +126,9 @@ def apply_incoherent_unitary(
     return validate_state(u @ state.cov @ u.T, u @ state.mean)
 
 
-@dataclass(frozen=True)
-class HypothesisViolation:
-    mode: int
-    reason: str
-
-
 def check_hypothesis(
     state: GaussianState, tol: float | None = None
-) -> HypothesisViolation | None:
+) -> HypothesisViolated | None:
     """Check the structural hypothesis of the equivalence theorems.
 
     Multimode: every mode must have at least one nonzero off-diagonal
@@ -124,146 +136,30 @@ def check_hypothesis(
     anisotropic covariance). Returns the first violation, or None.
     """
     t = default_tol(state.cov, tol)
-    m = state.modes
-    if m == 1:
+    if state.modes == 1:
         if np.linalg.norm(state.mean) > t:
             return None
         block = state.mode_cov(0)
         lam = (block[0, 0] + block[1, 1]) / 2.0
         if np.linalg.norm(block - lam * np.eye(2)) > t:
             return None
-        return HypothesisViolation(
+        return HypothesisViolated(
             mode=0, reason="one-mode state is incoherent (d = 0 and V is isotropic)"
         )
-    for i in range(m):
-        if all(
-            np.linalg.norm(state.cross_cov(i, j)) <= t for j in range(m) if j != i
-        ):
-            return HypothesisViolation(
-                mode=i, reason=f"mode {i} has no nonzero off-diagonal block"
-            )
+    norms = block_norms(state.cov)
+    np.fill_diagonal(norms, 0.0)
+    lonely = np.flatnonzero(norms.max(axis=1) <= t)
+    if lonely.size:
+        i = int(lonely[0])
+        return HypothesisViolated(
+            mode=i, reason=f"mode {i} has no nonzero off-diagonal block"
+        )
     return None
 
 
 # ---------------------------------------------------------------------------
-# permutation pruning
+# the search
 # ---------------------------------------------------------------------------
-
-
-def _mode_fingerprint(state: GaussianState, i: int, tol: float):
-    eigs = np.linalg.eigvalsh(state.mode_cov(i))
-    d_norm = float(np.linalg.norm(state.mode_mean(i)))
-    blocks = sorted(
-        tuple(np.linalg.svd(state.cross_cov(i, j), compute_uv=False))
-        for j in range(state.modes)
-        if j != i and np.linalg.norm(state.cross_cov(i, j)) > tol
-    )
-    return (tuple(eigs), d_norm, blocks)
-
-
-def _fingerprints_match(fp_a, fp_b, tol: float) -> bool:
-    eigs_a, d_a, blocks_a = fp_a
-    eigs_b, d_b, blocks_b = fp_b
-    if len(blocks_a) != len(blocks_b):
-        return False
-    if abs(d_a - d_b) > tol:
-        return False
-    if any(abs(x - y) > tol for x, y in zip(eigs_a, eigs_b)):
-        return False
-    for pa, pb in zip(blocks_a, blocks_b):
-        if any(abs(x - y) > tol for x, y in zip(pa, pb)):
-            return False
-    return True
-
-
-def _candidate_permutations(rho: GaussianState, sigma: GaussianState, tol: float):
-    """Yield permutations consistent with the per-mode fingerprints, lexicographically."""
-    m = rho.modes
-    band = max(tol, 1e-6 * max(1.0, float(np.linalg.norm(rho.cov))))
-    fp_rho = [_mode_fingerprint(rho, i, tol) for i in range(m)]
-    fp_sig = [_mode_fingerprint(sigma, i, tol) for i in range(m)]
-    compatible = [
-        [k for k in range(m) if _fingerprints_match(fp_rho[i], fp_sig[k], band)]
-        for i in range(m)
-    ]
-
-    def recurse(i: int, used: set, acc: list):
-        if i == m:
-            yield tuple(acc)
-            return
-        for k in compatible[i]:
-            if k not in used:
-                acc.append(k)
-                yield from recurse(i + 1, used | {k}, acc)
-                acc.pop()
-
-    yield from recurse(0, set(), [])
-
-
-# ---------------------------------------------------------------------------
-# angle solving
-# ---------------------------------------------------------------------------
-
-
-def _solve_rotation_left(mat: np.ndarray, target: np.ndarray, tol: float):
-    """Angle theta with R(theta) @ mat = target, or None.
-
-    The equation is linear in (cos theta, sin theta); solved by least
-    squares and accepted only when the solution lies on the unit circle.
-    """
-    coeff = np.array(
-        [
-            [mat[0, 0], mat[1, 0]],
-            [mat[0, 1], mat[1, 1]],
-            [mat[1, 0], -mat[0, 0]],
-            [mat[1, 1], -mat[0, 1]],
-        ]
-    )
-    rhs = np.array([target[0, 0], target[0, 1], target[1, 0], target[1, 1]])
-    (c, s), *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
-    norm = math.hypot(c, s)
-    if abs(norm - 1.0) > max(100.0 * tol, 1e-6):
-        return None
-    return math.atan2(s / norm, c / norm)
-
-
-def _diag_angle_candidates(block_a: np.ndarray, block_b: np.ndarray) -> list[float]:
-    """Angles with R(theta) A R(theta)^t = B for symmetric anisotropic A."""
-    # conjugation by R(theta) rotates the traceless part's phase by -2 theta
-    psi_a = 0.5 * math.atan2(block_a[0, 1], (block_a[0, 0] - block_a[1, 1]) / 2.0)
-    psi_b = 0.5 * math.atan2(block_b[0, 1], (block_b[0, 0] - block_b[1, 1]) / 2.0)
-    theta = psi_a - psi_b
-    return [theta, theta + math.pi]
-
-
-def _block_graph(rho: GaussianState, tol: float) -> list[list[int]]:
-    m = rho.modes
-    adj = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.linalg.norm(rho.cross_cov(i, j)) > tol:
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
-
-
-def _golden_section(f, lo: float, hi: float, iters: int = 40) -> float:
-    """Minimize a unimodal scalar function on [lo, hi]; returns the argmin."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    return (a + b) / 2.0
 
 
 def _residual(
@@ -276,147 +172,196 @@ def _residual(
     )
 
 
-def _propagate_component(
-    rho, sigma, perm, component, root, theta_root, adj, angles, tol
-) -> bool:
-    """BFS-assign angles over a component from the root; False on dead end."""
-    angles[root] = theta_root
-    queue = [root]
-    seen = {root}
-    while queue:
-        i = queue.pop(0)
-        for j in adj[i]:
-            if j in seen:
-                continue
-            # want R(theta_i) V_ij R(theta_j)^t = B; with A = R(theta_i) V_ij
-            # this is R(theta_j) A^t = B^t, linear in (cos, sin)
-            block = rotation(angles[i]) @ rho.cross_cov(i, j)
-            target = sigma.cross_cov(perm[i], perm[j])
-            theta = _solve_rotation_left(block.T, target.T, tol)
-            if theta is None:
-                return False
-            angles[j] = theta
-            seen.add(j)
-            queue.append(j)
-    return True
+def _labels(p, q, d) -> np.ndarray:
+    """Per-mode labels that no incoherent unitary changes, one row per mode.
+
+    The local block's (p, q), |d_i|, and the sorted p and the sorted q of the
+    mode's cross blocks (zero blocks included, so their count is matched).
+    """
+    cross = 1.0 - np.eye(d.shape[-1])
+    return np.concatenate(
+        [
+            p.diagonal(axis1=-2, axis2=-1).real[..., None],
+            np.abs(q.diagonal(axis1=-2, axis2=-1))[..., None],
+            np.abs(d)[..., None],
+            np.sort(np.abs(p) * cross, axis=-1),
+            np.sort(np.abs(q) * cross, axis=-1),
+        ],
+        axis=-1,
+    )
 
 
-def _component_residual(rho, sigma, perm, component, angles) -> float:
-    total = 0.0
-    comp = set(component)
-    for i in component:
-        r_i = rotation(angles[i])
-        total += float(
-            np.linalg.norm(r_i @ rho.mode_cov(i) @ r_i.T - sigma.mode_cov(perm[i]))
-            ** 2
-        )
-        total += float(
-            np.linalg.norm(r_i @ rho.mode_mean(i) - sigma.mode_mean(perm[i])) ** 2
-        )
-        for j in component:
-            if j <= i or j not in comp:
-                continue
-            r_j = rotation(angles[j])
-            total += float(
-                np.linalg.norm(
-                    r_i @ rho.cross_cov(i, j) @ r_j.T
-                    - sigma.cross_cov(perm[i], perm[j])
-                )
-                ** 2
-            )
-    return math.sqrt(total)
-
-
-def _solve_angles(rho, sigma, perm, tol) -> list[float] | None:
-    """Solve per-mode angles for a fixed permutation, or None on failure."""
-    m = rho.modes
-    adj = _block_graph(rho, tol)
-    angles = [0.0] * m
-
-    # connected components of the nonzero-block graph
-    unvisited = set(range(m))
-    components = []
-    while unvisited:
-        start = min(unvisited)
-        comp, queue = [], [start]
-        unvisited.discard(start)
-        while queue:
-            i = queue.pop()
-            comp.append(i)
-            for j in adj[i]:
-                if j in unvisited:
-                    unvisited.discard(j)
+def _bfs_order(strong: list):
+    """Modes in BFS order over ``strong`` edges, and each mode's BFS parent."""
+    order, parent = [], {}
+    for root in range(len(strong)):
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for i in queue:
+            order.append(i)
+            for j, edge in enumerate(strong[i]):
+                if edge and j not in parent:
+                    parent[j] = i
                     queue.append(j)
-        components.append(sorted(comp))
+    return order, parent
 
-    # anchors below this scale give unreliable angles; fall back to blocks
-    anchor_tol = max(100.0 * tol, 1e-6)
-    for component in components:
-        candidates: list[tuple[int, list[float]]] = []
-        root = None
-        for i in component:
-            if np.linalg.norm(rho.mode_mean(i)) > anchor_tol:
-                phi_a = math.atan2(rho.mode_mean(i)[1], rho.mode_mean(i)[0])
-                phi_b = math.atan2(
-                    sigma.mode_mean(perm[i])[1], sigma.mode_mean(perm[i])[0]
-                )
-                root, candidates = i, [(i, [phi_a - phi_b])]
-                break
-        if root is None:
-            for i in component:
-                eigs = np.linalg.eigvalsh(rho.mode_cov(i))
-                if eigs[1] - eigs[0] > anchor_tol:
-                    root = i
-                    candidates = [
-                        (
-                            i,
-                            _diag_angle_candidates(
-                                rho.mode_cov(i), sigma.mode_cov(perm[i])
-                            ),
-                        )
-                    ]
-                    break
-        best = None
-        if root is not None:
-            for theta in candidates[0][1]:
-                trial = list(angles)
-                if not _propagate_component(
-                    rho, sigma, perm, component, root, theta, adj, trial, tol
-                ):
-                    continue
-                res = _component_residual(rho, sigma, perm, component, trial)
-                if best is None or res < best[0]:
-                    best = (res, trial)
-        else:
-            # fully degenerate component: scan the single free angle
-            root = component[0]
 
-            def comp_res(theta: float) -> float:
-                trial = list(angles)
-                if not _propagate_component(
-                    rho, sigma, perm, component, root, theta, adj, trial, tol
-                ):
-                    return math.inf
-                return _component_residual(rho, sigma, perm, component, trial)
+def _phase(z: complex) -> complex:
+    r = abs(z)
+    return z / r if r > 0.0 else 1.0
 
-            grid = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
-            values = [comp_res(t) for t in grid]
-            k = int(np.argmin(values))
-            if math.isinf(values[k]):
-                return None
-            width = 2.0 * math.pi / 360
-            theta = _golden_section(comp_res, grid[k] - width, grid[k] + width)
-            trial = list(angles)
-            if not _propagate_component(
-                rho, sigma, perm, component, root, theta, adj, trial, tol
-            ):
-                return None
-            best = (comp_res(theta), trial)
-        if best is None:
+
+#: a term (x0, power, y) of size zero, standing for "no part on w"
+_NO_PART = (0.0, 0, 0.0)
+
+
+def _size(term) -> float:
+    return abs(term[0])
+
+
+def _roots(term) -> list:
+    """The values of w with x0 w^power = y, for a term (x0, power, y)."""
+    x0, power, y = term
+    w = _phase(y * x0.conjugate())
+    if power < 0:
+        w = w.conjugate()
+    if abs(power) == 1:
+        return [w]
+    root = cmath.sqrt(w)
+    return [root, -root]
+
+
+def _gap(term, w) -> float:
+    """|x0 w^power - y|; its minimum over all w, ||x0| - |y||, while w is free."""
+    x0, power, y = term
+    if not power:
+        return abs(x0 - y)
+    if w is None:
+        return abs(abs(x0) - abs(y))
+    return abs(x0 * w**power - y)
+
+
+def _search(rho, sigma, accept: float, tol: float) -> EquivalenceVerdict:
+    """Backtracking search for a permutation and angles taking rho to sigma.
+
+    A mode's angle is held as the unit complex u_i = e^{i theta_i}. The
+    modes of the component being placed share one undetermined phase w:
+    u_i = u0_i w^{s_i} with s_i = +-1 (s_i = 0 once w is known). By
+    :func:`block_parts`, each mean and block part of a placed mode then
+    reads x0 w^power against its target y in sigma. The first mode with a
+    part on w (power != 0) above the anchor scale fixes w, to one or two
+    values. A component without one takes w from its strongest weaker part
+    once complete, and keeps w = 1 when no part involves w: that is an
+    exact gauge freedom.
+    """
+    m = rho.modes
+    p, q = block_parts(np.stack([rho.cov, sigma.cov]))
+    # each mode's mean (x, p) as the complex number x + i p
+    d = np.stack([rho.mean, sigma.mean]).view(complex)
+    band = max(tol, 1e-6 * max(1.0, float(np.linalg.norm(rho.cov))))
+    lab_r, lab_s = _labels(p, q, d)
+    compatible = np.all(np.abs(lab_r[:, None] - lab_s[None, :]) <= band, axis=2)
+    if not (compatible.any(axis=0).all() and compatible.any(axis=1).all()):
+        return NotEquivalent(witness="mode fingerprints")
+
+    # parts below this scale give unreliable angles for the other blocks
+    anchor = max(100.0 * tol, 1e-6)
+    strong = (np.abs(p[0]) > anchor) | (np.abs(q[0]) > anchor)
+    np.fill_diagonal(strong, False)
+    order, parent = _bfs_order(strong.tolist())
+    compatible = compatible.tolist()
+    (p_r, p_s), (q_r, q_s), (d_r, d_s) = p.tolist(), q.tolist(), d.tolist()
+    perm = [-1] * m
+    used = [False] * m
+    best = math.inf
+
+    def place(pos: int, u: list, sgn: list, weak):
+        # weak: the strongest part on w seen while w is free, all below anchor
+        nonlocal best
+        if _size(weak) > 0.0 and (pos == m or parent[order[pos]] is None):
+            # the component ends with w free: its strongest weak part fixes w
+            for w in _roots(weak):
+                u_w = [z * w**s for z, s in zip(u, sgn)]
+                found = place(pos, u_w, [0] * m, _NO_PART)
+                if found is not None:
+                    return found
             return None
-        for i in component:
-            angles[i] = best[1][i]
-    return angles
+        if pos == m:
+            angles = [cmath.phase(z) for z in u]
+            res = _residual(rho, sigma, perm, angles)
+            best = min(best, res)
+            if res > accept:
+                return None
+            return Equivalent(
+                certificate=IncoherentUnitary(perm=tuple(perm), angles=tuple(angles)),
+                residual=res,
+            )
+        j = order[pos]
+        i = parent[j]
+        done = order[:pos]
+        for k in range(m):
+            if used[k] or not compatible[j][k]:
+                continue
+            u_k, s_k = list(u), list(sgn)
+            if i is None:
+                # a new component: the previous one's w is fixed by now
+                s_k = [0] * m
+                u_k[j], s_k[j] = 1.0, 1
+            elif abs(p_r[i][j]) >= abs(q_r[i][j]):
+                u_k[j] = u[i] * _phase(p_r[i][j] * p_s[perm[i]][k].conjugate())
+                s_k[j] = s_k[i]
+            else:
+                u_k[j] = u[i].conjugate() * _phase(
+                    q_s[perm[i]][k] * q_r[i][j].conjugate()
+                )
+                s_k[j] = -s_k[i]
+            uj, sj = u_k[j], s_k[j]
+            # mode j's mean, local block parts and cross parts to the placed
+            # modes, each as (x0, power of w, target)
+            terms = [
+                (d_r[j] * uj.conjugate(), -sj, d_s[k]),
+                (p_r[j][j], 0, p_s[k][k]),
+                (q_r[j][j] * uj * uj, 2 * sj, q_s[k][k]),
+            ]
+            for h in done:
+                x_h, s_h, k_h = u_k[h], s_k[h], perm[h]
+                terms.append((p_r[h][j] * x_h * uj.conjugate(), s_h - sj, p_s[k_h][k]))
+                terms.append((q_r[h][j] * x_h * uj, s_h + sj, q_s[k_h][k]))
+            top = max((term for term in terms if term[1]), key=_size, default=_NO_PART)
+            if _size(top) > anchor:
+                ws, weak_k = _roots(top), _NO_PART
+            else:
+                ws, weak_k = [None], max(weak, top, key=_size)
+            for w in ws:
+                gaps = [_gap(term, w) for term in terms]
+                # a cross block appears twice in V, and ||block||^2 = 2 |P|^2 + 2 |Q|^2
+                cov_gap = 2.0 * (gaps[1] ** 2 + gaps[2] ** 2)
+                cov_gap += 4.0 * sum(g * g for g in gaps[3:])
+                if gaps[0] > accept or cov_gap > accept**2:
+                    continue
+                perm[j], used[k] = k, True
+                if w is None:
+                    found = place(pos + 1, u_k, s_k, weak_k)
+                else:
+                    u_w = [z * w**s for z, s in zip(u_k, s_k)]
+                    found = place(pos + 1, u_w, [0] * m, _NO_PART)
+                used[k] = False
+                if found is not None:
+                    return found
+        return None
+
+    found = place(0, [1.0] * m, [0] * m, _NO_PART)
+    # place holds itself through its closure: drop it, so that this search's
+    # lists are freed now and not by a later full garbage collection
+    del place
+    if found is not None:
+        return found
+    return NotEquivalent(
+        witness="search exhausted",
+        best_residual=None if math.isinf(best) else best,
+    )
 
 
 def decide_equivalence(
@@ -437,49 +382,46 @@ def decide_equivalence(
         return AllIncoherent()
     if (inc_r is None) != (inc_s is None):
         return NotEquivalent(witness="coherence mismatch")
-    for state in (rho, sigma):
-        violation = check_hypothesis(state)
-        if violation is not None and rho.modes >= 2:
-            return HypothesisViolated(mode=violation.mode, reason=violation.reason)
+    if rho.modes >= 2:
+        for state in (rho, sigma):
+            violation = check_hypothesis(state)
+            if violation is not None:
+                return violation
 
     accept = RESIDUAL_TOL_REL * max(1.0, float(np.linalg.norm(rho.cov)))
     if tol is not None:
         accept = tol
     t = default_tol(rho.cov)
 
-    from .core import williamson_spectrum
-
     spec_r = williamson_spectrum(rho)
     spec_s = williamson_spectrum(sigma)
     if np.max(np.abs(spec_r - spec_s)) > max(accept, t):
         return NotEquivalent(witness="symplectic spectrum")
-
-    best_residual = math.inf
-    found_candidate = False
-    for perm in _candidate_permutations(rho, sigma, t):
-        found_candidate = True
-        angles = _solve_angles(rho, sigma, perm, t)
-        if angles is None:
-            continue
-        res = _residual(rho, sigma, perm, angles)
-        if res < best_residual:
-            best_residual = res
-        if res <= accept:
-            return Equivalent(
-                certificate=IncoherentUnitary(perm=perm, angles=tuple(angles)),
-                residual=res,
-            )
-    if not found_candidate:
-        return NotEquivalent(witness="mode fingerprints")
-    return NotEquivalent(
-        witness="search exhausted",
-        best_residual=None if math.isinf(best_residual) else best_residual,
-    )
+    return _search(rho, sigma, accept, t)
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
+
+
+def _golden_section(f, lo: float, hi: float, iters: int = 40) -> float:
+    """Minimize a unimodal scalar function on [lo, hi]; returns the argmin."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - inv_phi * (b - a)
+    x2 = a + inv_phi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = f(x2)
+    return (a + b) / 2.0
 
 
 def _coordinate_descent(f_coord, f_full, m, start, grid, sweeps=8):

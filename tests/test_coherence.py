@@ -1,7 +1,10 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 import gausscoh as gc
+from gausscoh.coherence import _g
 from gausscoh.sampling import RandomStateRecipe, random_state
 
 
@@ -48,6 +51,19 @@ class TestVonNeumannEntropy:
 
     def test_additive_over_modes(self):
         assert gc.von_neumann_entropy(gc.thermal([1.0, 1.0])) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("x", [1e6, 1e9, 1e12])
+    def test_g_accurate_at_large_occupation(self, x):
+        # (x+1) log2(x+1) - x log2 x loses digits to cancellation in floats
+        with localcontext() as ctx:
+            ctx.prec = 50
+            d = Decimal(x)
+            exact = ((d + 1) * (d + 1).ln() - d * d.ln()) / Decimal(2).ln()
+        assert _g(x) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_g_returns_builtin_float(self):
+        # numpy scalars would leak into the CLI's JSON as np.bool_ comparisons
+        assert type(_g(np.float64(3.0))) is float
 
 
 class TestRelativeEntropyCoherence:

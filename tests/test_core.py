@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import gausscoh as gc
+from gausscoh.core import block_norms, block_parts
+from gausscoh.equivalence import rotation
 from gausscoh.sampling import RandomStateRecipe, random_state, random_symplectic
 
 
@@ -144,3 +146,44 @@ class TestRoundTrip:
         again = gc.validate_state(state.cov.copy(), state.mean.copy())
         np.testing.assert_array_equal(state.cov, again.cov)
         np.testing.assert_array_equal(state.mean, again.mean)
+
+
+class TestBlockParts:
+    """The rotation/reflection split against per-block numpy, block by block."""
+
+    @pytest.fixture()
+    def state(self):
+        return random_state(RandomStateRecipe(modes=3, seed=5))
+
+    def test_parts_rebuild_each_block(self, state):
+        p, q = block_parts(state.cov)
+        for i in range(3):
+            for j in range(3):
+                a, b = p[i, j].real, p[i, j].imag
+                c, d = q[i, j].real, q[i, j].imag
+                rebuilt = np.array([[a + c, b - d], [-b - d, a - c]])
+                block = state.cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                np.testing.assert_allclose(rebuilt, block, atol=1e-14)
+
+    def test_norms_and_singular_values(self, state):
+        p, q = block_parts(state.cov)
+        norms = block_norms(state.cov)
+        for i in range(3):
+            for j in range(3):
+                block = state.cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                assert norms[i, j] == pytest.approx(np.linalg.norm(block), rel=1e-14)
+                sv = np.linalg.svd(block, compute_uv=False)
+                s_p, s_q = abs(p[i, j]), abs(q[i, j])
+                np.testing.assert_allclose(sv, [s_p + s_q, abs(s_p - s_q)], atol=1e-14)
+
+    def test_conjugation_multiplies_phases(self, state):
+        # R(a) M R(b)^t has parts P e^{i(a - b)} and Q e^{i(a + b)}
+        a, b = 0.7, -1.9
+        block = state.cov[0:2, 2:4]
+        p, q = block_parts(state.cov)
+        moved = np.zeros((4, 4))
+        moved[0:2, 2:4] = rotation(a) @ block @ rotation(b).T
+        moved[2:4, 0:2] = moved[0:2, 2:4].T
+        p2, q2 = block_parts(moved)
+        assert p2[0, 1] == pytest.approx(p[0, 1] * np.exp(1j * (a - b)), abs=1e-14)
+        assert q2[0, 1] == pytest.approx(q[0, 1] * np.exp(1j * (a + b)), abs=1e-14)

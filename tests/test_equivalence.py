@@ -3,6 +3,7 @@ import pytest
 
 import gausscoh as gc
 from gausscoh.channels import rotation_channel
+from gausscoh.equivalence import rotation
 from gausscoh.sampling import (
     RandomStateRecipe,
     equivalent_pair,
@@ -166,8 +167,9 @@ class TestDecideEquivalence:
         )
 
     def test_free_angle_component_scan(self):
-        # isotropic mode blocks and zero mean leave one free angle per
-        # component; the decider must find it by scanning
+        # isotropic mode blocks, zero mean and a pure reflection-type cross
+        # block fix no angle: the component has a true gauge freedom, and the
+        # decider sets its free angle to zero
         r = 0.5
         c, s = np.cosh(2 * r), np.sinh(2 * r)
         cov = np.array(
@@ -184,6 +186,114 @@ class TestDecideEquivalence:
         verdict = gc.decide_equivalence(rho, sigma)
         assert isinstance(verdict, gc.Equivalent)
         assert verdict.residual <= 1e-8
+
+
+def _isotropic_ring(m):
+    """a I + c C_m on every quadrature, C_m the m-cycle; physical as a - 2c > 1."""
+    couplings = 3.0 * np.eye(m)
+    for i in range(m):
+        couplings[i, (i + 1) % m] = couplings[(i + 1) % m, i] = 0.45
+    return np.kron(couplings, np.eye(2))
+
+
+def _anchorless_state(m, kind, rng):
+    """Isotropic local blocks, zero mean and random cross blocks of one kind."""
+    cov = np.kron(np.diag(rng.uniform(2.5, 3.5, size=m)), np.eye(2))
+    for i in range(m):
+        for j in range(i + 1, m):
+            c, phi = rng.uniform(0.2, 0.5), rng.uniform(0.0, 2.0 * np.pi)
+            block = {
+                "rotation": c * rotation(phi),
+                "reflection": c * rotation(phi) @ np.diag([1.0, -1.0]),
+                "general": rng.normal(0.0, 0.25, size=(2, 2)),
+            }[kind]
+            cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
+            cov[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = block.T
+    return gc.validate_state(cov, np.zeros(2 * m))
+
+
+class TestSearch:
+    """Inputs whose labels leave many targets, or whose angles no mean or
+    local anisotropy fixes."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_isotropic_triangle_with_one_reflection(self, seed):
+        # the cycle 0-1-2 holds an odd number of reflection-type blocks, so
+        # the component's free angle is pinned (to one of two values) by the
+        # last block closed; leaving it at zero fails
+        cov = 3.0 * np.eye(6)
+        for (i, j), block in {
+            (0, 1): 0.3 * np.eye(2),
+            (0, 2): 0.3 * np.eye(2),
+            (1, 2): 0.3 * np.diag([1.0, -1.0]),
+        }.items():
+            cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
+            cov[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = block.T
+        rho = gc.validate_state(cov, np.zeros(6))
+        planted = random_incoherent_unitary(3, np.random.default_rng(seed))
+        sigma = gc.apply_incoherent_unitary(planted, rho)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.Equivalent)
+        assert verdict.residual <= 1e-8
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("kind", ["rotation", "reflection", "general"])
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_anchorless_agrees_with_oracle(self, m, kind, planted):
+        rng = np.random.default_rng([m, len(kind), planted])
+        rho = _anchorless_state(m, kind, rng)
+        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(m, rng), rho)
+        if not planted:
+            bump = np.zeros((2 * m, 2 * m))
+            bump[0:2, 2:4] = rng.normal(0.0, 0.02, size=(2, 2))
+            sigma = gc.validate_state(sigma.cov + bump + bump.T, sigma.mean)
+        fast = gc.decide_equivalence(rho, sigma)
+        slow = gc.brute_force_equivalence(rho, sigma)
+        assert isinstance(fast, gc.Equivalent) == planted
+        assert isinstance(slow, gc.Equivalent) == planted
+
+    def test_weak_mean_fixes_free_angle(self):
+        # a mean below the anchor scale but above the acceptance threshold is
+        # the only part that moves with the component's free angle
+        r = 0.5
+        c, s = np.cosh(2 * r), np.sinh(2 * r)
+        cov = np.array(
+            [[c, 0.0, s, 0.0], [0.0, c, 0.0, -s], [s, 0.0, c, 0.0], [0.0, -s, 0.0, c]]
+        )
+        rho = gc.validate_state(cov, np.array([3e-7, 0.0, 0.0, 0.0]))
+        planted = gc.IncoherentUnitary(perm=(0, 1), angles=(0.9, 0.4))
+        sigma = gc.apply_incoherent_unitary(planted, rho)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.Equivalent)
+        assert verdict.residual <= 1e-8
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_planted_isotropic_ring(self, m):
+        # every mode has the same labels; enumerating permutations is m!
+        rho = gc.validate_state(_isotropic_ring(m), np.zeros(2 * m))
+        planted = random_incoherent_unitary(m, np.random.default_rng(m))
+        sigma = gc.apply_incoherent_unitary(planted, rho)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.Equivalent)
+        assert verdict.residual <= 1e-8
+
+    def test_displaced_ring_scrambled_phases(self):
+        # equal |d_i| keep the spectrum and every label; only a dihedral
+        # relabelling with one common rotation maps the ring onto itself,
+        # and random phases admit none
+        m = 8
+        rng = np.random.default_rng(8)
+        cov = _isotropic_ring(m)
+
+        def mean(phases):
+            return np.ravel(np.column_stack([np.cos(phases), np.sin(phases)]))
+
+        rho = gc.validate_state(cov, mean(rng.uniform(0.0, 2.0 * np.pi, size=m)))
+        other = gc.validate_state(cov, mean(rng.uniform(0.0, 2.0 * np.pi, size=m)))
+        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(m, rng), other)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.NotEquivalent)
+        assert verdict.witness == "search exhausted"
 
 
 class TestBruteForce:
