@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -43,9 +44,15 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _env_tol() -> float | None:
-    raw = os.environ.get("GAUSS_COHERENCE_TOL")
-    return float(raw) if raw else None
+def _tolerance(flag: str | None) -> float | None:
+    """The ``--tol`` flag, else ``GAUSS_COHERENCE_TOL``; finite and >= 0."""
+    raw = flag if flag is not None else os.environ.get("GAUSS_COHERENCE_TOL")
+    if not raw:
+        return None
+    tol = float(raw)
+    if not math.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {raw!r}")
+    return tol
 
 
 def _parse_floats(raw: str) -> list[float]:
@@ -72,7 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gaussian-state coherence, incoherent channels, and "
         "equivalence certificates in phase space.",
     )
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument(
+        "--tol", default=None, help="tolerance override, finite and >= 0"
+    )
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -276,9 +285,8 @@ def _dispatch(args, tol) -> tuple[dict, int]:
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    tol = args.tol if args.tol is not None else _env_tol()
     try:
-        doc, code = _dispatch(args, tol)
+        doc, code = _dispatch(args, _tolerance(args.tol))
     except NumericError as exc:
         _emit_error("numeric-error", exc)
         return EXIT_NUMERIC

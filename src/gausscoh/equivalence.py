@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .coherence import relative_entropy_coherence
 from .core import (
@@ -404,56 +403,116 @@ def decide_equivalence(
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-
-def _golden_section(f, lo: float, hi: float, iters: int = 40) -> float:
-    """Minimize a unimodal scalar function on [lo, hi]; returns the argmin."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    return (a + b) / 2.0
+#: most boxes one bisection level of the oracle may hold
+_BOX_BUDGET = 200_000
+#: bisection levels; pi / 2^52 is below the spacing of doubles near 2 pi
+_MAX_LEVELS = 52
+#: box centres evaluated in one numpy pass, which bounds the memory of a level
+_CHUNK = 4096
+#: Gauss-Newton steps of one polish
+_POLISH_STEPS = 20
+#: d R(theta) / d theta = R(theta) @ _GEN
+_GEN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _coordinate_descent(f_coord, f_full, m, start, grid, sweeps=8):
-    angles = list(start)
-    value = f_full(angles)
-    for _ in range(sweeps):
-        moved = False
-        for k in range(m):
-            values = f_coord(angles, k, grid)
-            j = int(np.argmin(values))
-            if values[j] < value - 1e-15:
-                angles[k] = float(grid[j])
-                value = values[j]
-                moved = True
-        if not moved:
+def _rotations(angles: np.ndarray) -> np.ndarray:
+    """blkdiag(R(angles[..., 0]), ..., R(angles[..., m-1])), shape (..., 2m, 2m)."""
+    m = angles.shape[-1]
+    c, s = np.cos(angles), np.sin(angles)
+    r = np.zeros(angles.shape[:-1] + (2 * m, 2 * m))
+    for i in range(m):
+        r[..., 2 * i, 2 * i] = r[..., 2 * i + 1, 2 * i + 1] = c[..., i]
+        r[..., 2 * i, 2 * i + 1] = s[..., i]
+        r[..., 2 * i + 1, 2 * i] = -s[..., i]
+    return r
+
+
+def _targets(sigma: GaussianState, perm) -> tuple[np.ndarray, np.ndarray]:
+    """sigma's covariance and mean with slot perm[i] moved to mode i.
+
+    Then the residual of (perm, theta) is the larger of
+    ||R V R^t - W||_F and ||R d - e|| with R = blkdiag(R(theta_i)).
+    """
+    idx = np.ravel([[2 * t, 2 * t + 1] for t in perm])
+    return sigma.cov[np.ix_(idx, idx)], sigma.mean[idx]
+
+
+def _box_bounds(
+    rho: GaussianState, w, e, centres: np.ndarray, half_width: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residual at each box centre, and a lower bound on it over the box.
+
+    A box holds every theta within ``half_width`` of its centre c in each
+    angle, so ||R(theta) - R(c)||_2 <= eps = 2 sin(half_width / 2). The
+    isotropic part Lambda = blkdiag(lambda_i I) of rho's local blocks commutes
+    with every R, hence over the box
+    ||R V R^t - W|| >= ||R_c V R_c^t - W|| - 2 eps ||V - Lambda|| and
+    ||R d - e|| >= ||R_c d - e|| - eps ||d||.
+    """
+    r_cov, r_mean = [], []
+    for start in range(0, len(centres), _CHUNK):
+        r = _rotations(centres[start : start + _CHUNK])
+        diff = r @ rho.cov @ r.transpose(0, 2, 1) - w
+        r_cov.append(np.sqrt(np.einsum("nij,nij->n", diff, diff)))
+        r_mean.append(np.linalg.norm(r @ rho.mean - e, axis=1))
+    r_cov, r_mean = np.concatenate(r_cov), np.concatenate(r_mean)
+    lam = np.repeat(rho.cov.diagonal().reshape(-1, 2).mean(axis=1), 2)
+    eps = 2.0 * math.sin(min(half_width, math.pi) / 2.0)
+    bound = np.maximum(
+        r_cov - 2.0 * eps * np.linalg.norm(rho.cov - np.diag(lam)),
+        r_mean - eps * np.linalg.norm(rho.mean),
+    )
+    return np.maximum(r_cov, r_mean), bound
+
+
+def _polish(rho: GaussianState, w, e, angles: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on the stacked residual [R V R^t - W; R d - e].
+
+    Each step is the minimum-norm least-squares step on the analytic
+    Jacobian, so a gauge direction, along which the residual does not move,
+    takes no step. Returns the iterate with the smallest squared residual.
+    """
+    m = len(angles)
+    best, best_sq = angles, math.inf
+    for _ in range(_POLISH_STEPS):
+        r = _rotations(angles)
+        vec = np.concatenate([(r @ rho.cov @ r.T - w).ravel(), r @ rho.mean - e])
+        sq = float(vec @ vec)
+        if sq >= best_sq:
             break
-    return angles, value
+        best, best_sq = angles, sq
+        jac = np.empty((vec.size, m))
+        for i in range(m):
+            # d/d theta_i of R V R^t and R d, with G_i = _GEN in block i
+            gv = np.zeros_like(rho.cov)
+            gv[2 * i : 2 * i + 2] = _GEN @ rho.cov[2 * i : 2 * i + 2]
+            gd = np.zeros_like(rho.mean)
+            gd[2 * i : 2 * i + 2] = _GEN @ rho.mean[2 * i : 2 * i + 2]
+            jac[:, i] = np.concatenate([(r @ (gv + gv.T) @ r.T).ravel(), r @ gd])
+        angles = angles - np.linalg.lstsq(jac, vec, rcond=None)[0]
+    return best
 
 
 def brute_force_equivalence(
-    rho: GaussianState,
-    sigma: GaussianState,
-    grid_size: int = 360,
-    refine_iters: int = 3,
-    tol: float | None = None,
+    rho: GaussianState, sigma: GaussianState, tol: float | None = None
 ) -> EquivalenceVerdict:
-    """Independent search oracle for :func:`decide_equivalence`.
+    """Independent oracle for :func:`decide_equivalence`, for at most 3 modes.
 
-    Loops over all mode permutations; for each, minimizes the residual over
-    the per-mode angles by multi-start coordinate descent on a dense angle
-    grid, followed by golden-section refinement of each angle. Limited to
-    three modes.
+    For each mode permutation, the angle torus [0, 2 pi)^m is bisected level
+    by level: every surviving box splits into 2^m children, whose centres
+    are evaluated in one numpy pass. A box is pruned when a lower bound on
+    the residual over it (:func:`_box_bounds`) exceeds the acceptance
+    threshold. At each level a Gauss-Newton polish starts from the best two
+    surviving centres.
+
+    Returns :class:`Equivalent` once a polished point's residual is at most
+    ``1e-8 * max(1, ||V||_F)`` (or ``tol``). When every box of every
+    permutation is pruned, no incoherent unitary comes within the threshold,
+    and the verdict is ``NotEquivalent(witness="residual lower bound")``. A
+    level over ``_BOX_BUDGET`` boxes, or a box still alive after
+    ``_MAX_LEVELS`` levels, ends that permutation without that proof: the
+    verdict is then ``NotEquivalent(witness="search exhausted")``. Either way,
+    ``best_residual`` is the smallest residual the search evaluated.
     """
     if rho.modes != sigma.modes:
         raise ShapeError(f"mode mismatch: {rho.modes} vs {sigma.modes}")
@@ -470,121 +529,39 @@ def brute_force_equivalence(
     accept = RESIDUAL_TOL_REL * max(1.0, float(np.linalg.norm(rho.cov)))
     if tol is not None:
         accept = tol
-    grid = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    rots = np.stack([rotation(t) for t in grid])
-    rng = np.random.default_rng(0)
-    starts = [np.zeros(m)] + [rng.uniform(0.0, 2.0 * math.pi, size=m) for _ in range(5)]
-
-    best_residual = math.inf
-    best = None
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+    best = math.inf
+    exhausted = False
     for perm in itertools.permutations(range(m)):
-        # targets permuted back to source order: residual becomes
-        # ||blkdiag(R) V blkdiag(R)^t - covp||_F^2 + ||blkdiag(R) d - dp||^2
-        idx = np.concatenate([[2 * p, 2 * p + 1] for p in perm])
-        covp = sigma.cov[np.ix_(idx, idx)]
-        dp = sigma.mean[idx]
-
-        def f_sq(angles):
-            blk = np.zeros((2 * m, 2 * m))
-            for i, a in enumerate(angles):
-                c, s = math.cos(a), math.sin(a)
-                blk[2 * i, 2 * i] = c
-                blk[2 * i, 2 * i + 1] = s
-                blk[2 * i + 1, 2 * i] = -s
-                blk[2 * i + 1, 2 * i + 1] = c
-            return float(
-                np.linalg.norm(blk @ rho.cov @ blk.T - covp) ** 2
-                + np.linalg.norm(blk @ rho.mean - dp) ** 2
-            )
-
-        def f_coord(angles, k, _grid):
-            # f_sq over the grid for angle k, other angles fixed
-            fixed = [rotation(a) for a in angles]
-            base = 0.0
-            for i in range(m):
-                if i == k:
-                    continue
-                base += (
-                    np.linalg.norm(
-                        fixed[i] @ rho.mode_cov(i) @ fixed[i].T
-                        - sigma.mode_cov(perm[i])
-                    )
-                    ** 2
-                )
-                base += (
-                    np.linalg.norm(
-                        fixed[i] @ rho.mode_mean(i) - sigma.mode_mean(perm[i])
-                    )
-                    ** 2
-                )
-                for j in range(i + 1, m):
-                    if j == k:
-                        continue
-                    base += (
-                        2.0
-                        * np.linalg.norm(
-                            fixed[i] @ rho.cross_cov(i, j) @ fixed[j].T
-                            - sigma.cross_cov(perm[i], perm[j])
-                        )
-                        ** 2
-                    )
-            var = np.zeros(len(_grid))
-            diag = np.einsum(
-                "tab,bc,tdc->tad", rots, rho.mode_cov(k), rots
-            ) - sigma.mode_cov(perm[k])
-            var += np.einsum("tad,tad->t", diag, diag)
-            dvec = rots @ rho.mode_mean(k) - sigma.mode_mean(perm[k])
-            var += np.einsum("ta,ta->t", dvec, dvec)
-            for j in range(m):
-                if j == k:
-                    continue
-                block = rho.cross_cov(k, j) @ fixed[j].T
-                target = sigma.cross_cov(perm[k], perm[j])
-                diff = np.einsum("tab,bc->tac", rots, block) - target
-                var += 2.0 * np.einsum("tac,tac->t", diff, diff)
-            return base + var
-
-        candidates = []
-        for start in starts:
-            angles, value = _coordinate_descent(f_coord, f_sq, m, start, grid)
-            candidates.append((value, angles))
-        candidates.sort(key=lambda pair: pair[0])
-        width = 2.0 * math.pi / grid_size
-        for _, angles in candidates[:2]:
-            for _ in range(refine_iters):
-                for k in range(m):
-
-                    def f_k(theta, k=k):
-                        trial = list(angles)
-                        trial[k] = theta
-                        return f_sq(trial)
-
-                    angles[k] = _golden_section(
-                        f_k, angles[k] - width, angles[k] + width
-                    )
-            # coordinate-wise refinement stalls on coupled angles; polish jointly
-            polish = scipy.optimize.minimize(
-                f_sq,
-                angles,
-                method="Nelder-Mead",
-                options={"xatol": 1e-13, "fatol": 1e-26, "maxiter": 4000},
-            )
-            angles = list(polish.x)
-            res = _residual(rho, sigma, perm, angles)
-            if res < best_residual:
-                best_residual = res
-                best = (perm, tuple(float(a) for a in angles))
-            if best_residual <= accept:
+        w, e = _targets(sigma, perm)
+        centres, half_width = np.full((1, m), math.pi), math.pi
+        for _ in range(_MAX_LEVELS):
+            res, bound = _box_bounds(rho, w, e, centres, half_width)
+            best = min(best, float(res.min()))
+            alive = bound <= accept
+            centres, res = centres[alive], res[alive]
+            if not len(centres):
                 break
-        if best_residual <= accept:
-            break
-
-    if best is not None and best_residual <= accept:
-        return Equivalent(
-            certificate=IncoherentUnitary(perm=best[0], angles=best[1]),
-            residual=best_residual,
-        )
-    return NotEquivalent(witness="search exhausted", best_residual=best_residual)
+            for start in centres[np.argsort(res)[:2]]:
+                angles = tuple(float(a) for a in _polish(rho, w, e, start))
+                r = _residual(rho, sigma, perm, angles)
+                best = min(best, r)
+                if r <= accept:
+                    return Equivalent(
+                        certificate=IncoherentUnitary(perm=perm, angles=angles),
+                        residual=r,
+                    )
+            if len(centres) * len(signs) > _BOX_BUDGET:
+                exhausted = True
+                break
+            half_width /= 2.0
+            centres = (centres[:, None, :] + half_width * signs).reshape(-1, m)
+        else:
+            exhausted = True
+    return NotEquivalent(
+        witness="search exhausted" if exhausted else "residual lower bound",
+        best_residual=best,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -241,6 +243,36 @@ class TestToleranceControls:
         )
         monkeypatch.setenv("GAUSS_COHERENCE_TOL", "1e-5")
         assert run_cli(["--tol", "1e-12", "validate", str(path)])[0] == 2
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1e-5", "abc"])
+    def test_bad_flag_is_input_error(self, tmp_path, raw):
+        # a NaN tolerance makes every comparison false, which used to skip
+        # the uncertainty check and accept V = 0.1 I
+        path = tmp_path / "unphysical.json"
+        path.write_text(
+            json.dumps({"modes": 1, "mean": [0.0, 0.0], "cov": [[0.1, 0], [0, 0.1]]})
+        )
+        code, out, err = run_cli([f"--tol={raw}", "validate", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "ValueError"
+
+    @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-1e-5"])
+    def test_bad_env_var_is_input_error(self, coherent_file, monkeypatch, raw):
+        monkeypatch.setenv("GAUSS_COHERENCE_TOL", raw)
+        code, out, err = run_cli(["validate", coherent_file])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "ValueError"
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(gc.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import gausscoh, sys; assert 'scipy' not in sys.modules"
+    subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True
+    )
 
 
 class TestRoundTrips:

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gausscoh as gc
+from gausscoh import equivalence
 from gausscoh.channels import rotation_channel
 from gausscoh.equivalence import rotation
 from gausscoh.sampling import (
@@ -11,6 +16,11 @@ from gausscoh.sampling import (
     random_incoherent_unitary,
     random_state,
 )
+
+
+def _accept(rho):
+    """The oracle's default acceptance threshold for a pair starting at rho."""
+    return equivalence.RESIDUAL_TOL_REL * max(1.0, np.linalg.norm(rho.cov))
 
 
 class TestIncoherentUnitary:
@@ -251,6 +261,9 @@ class TestSearch:
         slow = gc.brute_force_equivalence(rho, sigma)
         assert isinstance(fast, gc.Equivalent) == planted
         assert isinstance(slow, gc.Equivalent) == planted
+        if not planted:
+            assert slow.witness == "residual lower bound"
+            assert slow.best_residual > _accept(rho)
 
     def test_weak_mean_fixes_free_angle(self):
         # a mean below the anchor scale but above the acceptance threshold is
@@ -304,7 +317,49 @@ class TestBruteForce:
 
     def test_matches_on_perturbed_pair(self):
         rho, sigma = perturbed_pair(RandomStateRecipe(modes=2, seed=22))
-        assert isinstance(gc.brute_force_equivalence(rho, sigma), gc.NotEquivalent)
+        verdict = gc.brute_force_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.NotEquivalent)
+        assert verdict.witness == "residual lower bound"
+        assert verdict.best_residual > _accept(rho)
+
+    def test_box_budget_ends_in_search_exhausted(self, monkeypatch):
+        monkeypatch.setattr(equivalence, "_BOX_BUDGET", 1)
+        rho, sigma = perturbed_pair(RandomStateRecipe(modes=2, seed=22))
+        verdict = gc.brute_force_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.NotEquivalent)
+        assert verdict.witness == "search exhausted"
+        assert verdict.best_residual > _accept(rho)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+        log_half_width=st.floats(-6.0, np.log10(np.pi)),
+    )
+    def test_box_bound_holds_inside_the_box(self, m, seed, planted, log_half_width):
+        recipe = RandomStateRecipe(modes=m, seed=seed)
+        rng = np.random.default_rng(seed)
+        half_width = 10.0**log_half_width
+        if planted:
+            # a box around the planted unitary holds a point of zero residual
+            rho, sigma, unitary = equivalent_pair(recipe)
+            perm = unitary.perm
+            centre = unitary.angles + rng.uniform(-half_width, half_width, size=(1, m))
+        else:
+            rho = random_state(recipe)
+            sigma = random_state(RandomStateRecipe(modes=m, seed=seed + 1))
+            perm = tuple(int(i) for i in rng.permutation(m))
+            centre = rng.uniform(0.0, 2.0 * np.pi, size=(1, m))
+        w, e = equivalence._targets(sigma, perm)
+        _, bound = equivalence._box_bounds(rho, w, e, centre, half_width)
+        # the box's corners and random points inside it
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+        offsets = np.vstack([corners, rng.uniform(-1.0, 1.0, size=(32, m))])
+        slack = 1e-12 * max(1.0, np.linalg.norm(rho.cov))
+        for theta in centre + half_width * offsets:
+            residual = equivalence._residual(rho, sigma, perm, theta)
+            assert residual >= bound[0] - slack
 
     def test_one_mode_rotated_squeezed(self):
         rho = gc.displaced_squeezed(0.0, 0.6)
