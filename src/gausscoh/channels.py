@@ -13,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, default_tol, is_incoherent_state, symplectic_form, validate_state
+from .core import (
+    GaussianState,
+    block_norms,
+    default_tol,
+    is_incoherent_state,
+    isotropic_split,
+    rotation,
+    symplectic_form,
+    validate_state,
+)
 from .errors import (
     NotCompletelyPositiveError,
     NotFaithfulError,
@@ -135,6 +144,14 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
     return validate_state(cov, mean)
 
 
+def _noise_floors(targets, scales, rotations) -> list:
+    """|1 - sum_{k -> i} t_k^2 det O_k| for each mode i: its least noise weight."""
+    gains = [0] * len(targets)
+    for i, t, o in zip(targets, scales, rotations):
+        gains[i] += t**2 * np.linalg.det(o)
+    return [abs(1.0 - gain) for gain in gains]
+
+
 def _scaled_orthogonal(block: np.ndarray, tol: float) -> tuple[float, np.ndarray] | None:
     """Decompose ``block`` as t * O with O orthogonal, or None if it is not."""
     gram = block.T @ block
@@ -163,17 +180,12 @@ def classify_incoherent(
     if np.linalg.norm(channel.shift) > t_abs:
         return Classification("not-incoherent", reason="nonzero shift")
 
-    zero_thresh = t_abs  # tol * max(1, ||T||_F)
+    live_blocks = block_norms(channel.T) > t_abs
     targets: list[int] = []
     scales: list[float] = []
     rotations: list[np.ndarray] = []
     for j in range(m):
-        col = channel.T[:, 2 * j : 2 * j + 2]
-        live = [
-            i
-            for i in range(m)
-            if np.linalg.norm(col[2 * i : 2 * i + 2, :]) > zero_thresh
-        ]
+        live = np.flatnonzero(live_blocks[:, j])
         if len(live) == 0:
             # vanished input mode: scale 0 with a conventional target
             targets.append(j)
@@ -186,48 +198,42 @@ def classify_incoherent(
                 reason=f"column pair {j} has {len(live)} nonzero blocks "
                 "(exactly one required)",
             )
-        block = col[2 * live[0] : 2 * live[0] + 2, :]
-        decomp = _scaled_orthogonal(block, default_tol(channel.T, tol))
+        i = int(live[0])
+        block = channel.T[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+        decomp = _scaled_orthogonal(block, t_abs)
         if decomp is None:
             return Classification(
                 "not-incoherent",
                 reason=f"block in column pair {j} is not a scaled orthogonal matrix",
             )
-        targets.append(live[0])
+        targets.append(i)
         scales.append(decomp[0])
         rotations.append(decomp[1])
 
     n_tol = default_tol(channel.N, tol)
-    noise: list[float] = []
+    # N = (+) omega_j I_2: every block of N minus its isotropic part vanishes
+    lam, rest = isotropic_split(channel.N)
     for i in range(m):
-        for j in range(m):
-            block = channel.N[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            if i != j and np.linalg.norm(block) > n_tol:
-                return Classification(
-                    "not-incoherent",
-                    reason=f"N has a nonzero off-diagonal block at ({i}, {j})",
-                )
-        block = channel.N[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-        w = (block[0, 0] + block[1, 1]) / 2.0
-        if np.linalg.norm(block - w * np.eye(2)) > n_tol:
+        off = [j for j in np.flatnonzero(rest[i] > n_tol) if j != i]
+        if off:
+            return Classification(
+                "not-incoherent",
+                reason=f"N has a nonzero off-diagonal block at ({i}, {off[0]})",
+            )
+        if rest[i, i] > n_tol:
             return Classification(
                 "not-incoherent",
                 reason=f"N block at mode {i} is not a multiple of the identity",
             )
-        noise.append(float(w))
+    noise = [float(w) for w in lam]
 
     bound_tol = max(t_abs, n_tol)
-    for i in range(m):
-        gain = sum(
-            scales[k] ** 2 * float(np.linalg.det(rotations[k]))
-            for k in range(m)
-            if targets[k] == i
-        )
-        if noise[i] < abs(1.0 - gain) - bound_tol:
+    for i, floor in enumerate(_noise_floors(targets, scales, rotations)):
+        if noise[i] < floor - bound_tol:
             return Classification(
                 "not-incoherent",
                 reason=f"noise weight {noise[i]:.6g} at mode {i} is below the "
-                f"required bound {abs(1.0 - gain):.6g}",
+                f"required bound {floor:.6g}",
             )
 
     strict = sorted(targets) == list(range(m))
@@ -254,10 +260,7 @@ def igo_channel(spec: IgoSpec) -> GaussianChannel:
 
 def rotation_channel(theta: float) -> GaussianChannel:
     """One-mode phase rotation channel (T = R(theta), N = 0)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return validate_channel(
-        np.array([[c, s], [-s, c]]), np.zeros((2, 2)), np.zeros(2)
-    )
+    return validate_channel(rotation(theta), np.zeros((2, 2)), np.zeros(2))
 
 
 def random_igo(
@@ -281,21 +284,14 @@ def random_igo(
     scales = np.ones(m) if unitary else rng.uniform(0.0, 1.2, size=m)
     rotations = []
     for _ in range(m):
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        c, s = np.cos(angle), np.sin(angle)
-        o = np.array([[c, s], [-s, c]])
+        o = rotation(rng.uniform(0.0, 2.0 * np.pi))
         if not unitary and rng.random() < 0.5:
             o = o @ np.diag([1.0, -1.0])
         rotations.append(o)
-    noise = []
-    for i in range(m):
-        gain = sum(
-            scales[k] ** 2 * np.linalg.det(rotations[k])
-            for k in range(m)
-            if targets[k] == i
-        )
-        lower = abs(1.0 - gain)
-        noise.append(lower if unitary else lower + rng.uniform(0.0, 0.5))
+    noise = [
+        lower if unitary else lower + rng.uniform(0.0, 0.5)
+        for lower in _noise_floors(targets, scales, rotations)
+    ]
     spec = IgoSpec(
         targets=tuple(int(t) for t in targets),
         scales=tuple(float(t) for t in scales),

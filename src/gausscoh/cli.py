@@ -8,6 +8,7 @@ not frozen), 2 input error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,6 @@ import numpy as np
 from . import serialization as ser
 from .channels import apply_channel, classify_incoherent, petz_recovery
 from .coherence import relative_entropy_coherence
-from .core import williamson_spectrum
 from .equivalence import (
     AllIncoherent,
     Equivalent,
@@ -69,12 +69,16 @@ def _parse_complex(raw: str) -> complex:
     raise ValueError(f"expected 're' or 're,im', got {raw!r}")
 
 
-def _certificate_doc(cert) -> dict:
-    return {"perm": list(cert.perm), "angles": list(cert.angles)}
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are JSON input errors on stderr."""
+
+    def error(self, message):
+        _emit_error("ArgumentError", message)
+        sys.exit(EXIT_INPUT)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gausscoh",
         description="Gaussian-state coherence, incoherent channels, and "
         "equivalence certificates in phase space.",
@@ -167,8 +171,8 @@ def _dispatch(args, tol) -> tuple[dict, int]:
         )
 
     if args.command == "spectrum":
-        spectrum = williamson_spectrum(ser.load_state(args.state, tol))
-        return {"symplectic_eigenvalues": spectrum.tolist()}, EXIT_OK
+        state = ser.load_state(args.state, tol)
+        return {"symplectic_eigenvalues": state.spectrum.tolist()}, EXIT_OK
 
     if args.command == "apply":
         out = apply_channel(
@@ -182,15 +186,7 @@ def _dispatch(args, tol) -> tuple[dict, int]:
         if cls.reason is not None:
             doc["reason"] = cls.reason
         if cls.spec is not None:
-            doc["spec"] = {
-                "targets": list(cls.spec.targets),
-                "scales": list(cls.spec.scales),
-                "rotations": [
-                    [list(row) for row in o] for o in cls.spec.rotations
-                ],
-                "noise": list(cls.spec.noise),
-                "strict": cls.spec.strict,
-            }
+            doc["spec"] = dataclasses.asdict(cls.spec)
         return doc, EXIT_OK if cls.is_incoherent else EXIT_NEGATIVE
 
     if args.command == "petz":
@@ -206,21 +202,15 @@ def _dispatch(args, tol) -> tuple[dict, int]:
         if isinstance(verdict, Equivalent):
             doc = {
                 "verdict": "equivalent",
-                **_certificate_doc(verdict.certificate),
+                **dataclasses.asdict(verdict.certificate),
                 "residual": verdict.residual,
             }
             return doc, EXIT_OK
         if isinstance(verdict, AllIncoherent):
             return {"verdict": "all-incoherent"}, EXIT_OK
         if isinstance(verdict, HypothesisViolated):
-            return (
-                {
-                    "verdict": "hypothesis-violated",
-                    "mode": verdict.mode,
-                    "reason": verdict.reason,
-                },
-                EXIT_OK,
-            )
+            doc = {"verdict": "hypothesis-violated", **dataclasses.asdict(verdict)}
+            return doc, EXIT_OK
         assert isinstance(verdict, NotEquivalent)
         doc = {"verdict": "not-equivalent", "witness": verdict.witness}
         if verdict.best_residual is not None:
@@ -237,7 +227,7 @@ def _dispatch(args, tol) -> tuple[dict, int]:
             "coherence_out": report.coherence_out,
         }
         if report.certificate is not None:
-            doc["certificate"] = _certificate_doc(report.certificate)
+            doc["certificate"] = dataclasses.asdict(report.certificate)
         return doc, EXIT_OK if report.frozen else EXIT_NEGATIVE
 
     if args.command == "make":
@@ -274,7 +264,7 @@ def _dispatch(args, tol) -> tuple[dict, int]:
             {
                 "rho": ser.state_to_dict(rho),
                 "sigma": ser.state_to_dict(sigma),
-                "certificate": _certificate_doc(cert),
+                "certificate": dataclasses.asdict(cert),
             },
             EXIT_OK,
         )
@@ -290,17 +280,14 @@ def run(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         _emit_error("numeric-error", exc)
         return EXIT_NUMERIC
-    except GaussCohError as exc:
-        _emit_error(type(exc).__name__, exc)
-        return EXIT_INPUT
-    except (json.JSONDecodeError, OSError, ValueError) as exc:
+    except (GaussCohError, OSError, ValueError) as exc:
         _emit_error(type(exc).__name__, exc)
         return EXIT_INPUT
     print(ser.dumps(doc, pretty=args.pretty))
     return code
 
 
-def _emit_error(kind: str, exc: Exception) -> None:
+def _emit_error(kind: str, exc: Exception | str) -> None:
     print(
         json.dumps({"error": {"kind": kind, "detail": str(exc)}}),
         file=sys.stderr,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, default_tol, williamson_spectrum
+from .core import GaussianState, default_tol
 from .errors import InvariantViolationError
 
 # below this occupation a mode is treated as exactly empty (0 log 0 = 0)
@@ -62,8 +62,7 @@ def mean_photon_numbers(state: GaussianState, tol: float | None = None) -> list[
 
 def von_neumann_entropy(state: GaussianState) -> float:
     """Von Neumann entropy in bits, sum of g((v_i - 1)/2) over the symplectic spectrum."""
-    spectrum = williamson_spectrum(state)
-    return sum(_g(max(v - 1.0, 0.0) / 2.0) for v in spectrum)
+    return sum(_g(max(v - 1.0, 0.0) / 2.0) for v in state.spectrum)
 
 
 def relative_entropy_coherence(state: GaussianState) -> CoherenceReport:

@@ -7,6 +7,7 @@ with vacuum variance normalized to 1 (V_vac = I).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,23 +44,34 @@ def symplectic_form(m: int) -> np.ndarray:
     return np.kron(np.eye(m), omega2)
 
 
+def rotation(theta: float) -> np.ndarray:
+    """The SO(2) block [[cos, sin], [-sin, cos]] used throughout."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Immutable validated Gaussian state (V, d).
 
     Do not construct directly; use :func:`validate_state` (or the helpers
     in :mod:`gausscoh.zoo`), which symmetrizes and checks the uncertainty
-    relation.
+    relation. ``modes`` and the read-only symplectic ``spectrum`` are
+    derived from the covariance once, when the state is built.
     """
 
     cov: np.ndarray
     mean: np.ndarray
-    modes: int = field(default=0)
+    modes: int = field(init=False)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", self.cov.shape[0] // 2)
         self.cov.setflags(write=False)
         self.mean.setflags(write=False)
+        spectrum = _symplectic_spectrum(self.cov)
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
 
     def mode_cov(self, i: int) -> np.ndarray:
         """2x2 diagonal covariance block of mode ``i`` (0-based)."""
@@ -80,8 +92,9 @@ def validate_state(
     """Validate (cov, mean) and return an immutable :class:`GaussianState`.
 
     The covariance is symmetrized as (V + V^t)/2 when the asymmetry is
-    within tolerance, and the minimum symplectic eigenvalue is required to
-    be >= 1 - tol (uncertainty relation).
+    within tolerance. The uncertainty relation then requires V positive
+    definite (its lowest eigenvalue >= -tol) and the minimum symplectic
+    eigenvalue >= 1 - tol.
     """
     cov = np.asarray(cov, dtype=float)
     mean = np.asarray(mean, dtype=float)
@@ -101,32 +114,40 @@ def validate_state(
             f"covariance asymmetry {asym:.3e} exceeds tolerance {t:.3e}"
         )
     cov = (cov + cov.T) / 2.0
-    state = GaussianState(cov=cov, mean=mean.copy())
-    spectrum = williamson_spectrum(state)
-    if spectrum[0] < 1.0 - t:
+    # Williamson's theorem needs V > 0, and the spectrum's moduli hide the sign
+    lowest = float(np.linalg.eigvalsh(cov)[0])
+    if lowest < -t:
         raise UncertaintyViolationError(
-            f"minimum symplectic eigenvalue {spectrum[0]:.12g} violates the "
+            f"covariance has eigenvalue {lowest:.12g} and is not positive definite",
+            value=lowest,
+        )
+    state = GaussianState(cov=cov, mean=mean.copy())
+    if state.spectrum[0] < 1.0 - t:
+        raise UncertaintyViolationError(
+            f"minimum symplectic eigenvalue {state.spectrum[0]:.12g} violates the "
             f"uncertainty relation (must be >= 1)",
-            value=float(spectrum[0]),
+            value=float(state.spectrum[0]),
         )
     return state
 
 
-def williamson_spectrum(state: GaussianState, tol: float | None = None) -> np.ndarray:
-    """Symplectic eigenvalues of the covariance matrix, sorted ascending.
+def _symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of ``cov``, sorted ascending.
 
-    Computed as the moduli of the purely imaginary, +-paired eigenvalues of
-    Omega V. A failure of the +- pairing structure raises
-    :class:`NumericError` instead of silently sorting.
+    The moduli of the purely imaginary, +-paired eigenvalues of Omega V; a
+    broken pairing raises :class:`NumericError` instead of silently sorting.
     """
-    m = state.modes
-    omega = symplectic_form(m)
+    m = cov.shape[0] // 2
+    # Omega V swaps each row pair and negates its second row; adding +0.0
+    # gives signed zeros exactly as the product symplectic_form(m) @ cov does
+    omega_cov = np.empty_like(cov)
+    omega_cov[0::2] = cov[1::2] + 0.0
+    omega_cov[1::2] = 0.0 - cov[0::2]
     try:
-        eigs = np.linalg.eigvals(omega @ state.cov)
+        eigs = np.linalg.eigvals(omega_cov)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"eigenvalue computation failed: {exc}") from exc
-    scale = max(1.0, float(np.linalg.norm(state.cov)))
-    pairing_tol = PAIRING_TOL * scale if tol is None else tol
+    pairing_tol = PAIRING_TOL * max(1.0, float(np.linalg.norm(cov)))
     if np.max(np.abs(eigs.real)) > pairing_tol:
         raise NumericError(
             "eigenvalues of Omega V are not purely imaginary "
@@ -139,6 +160,11 @@ def williamson_spectrum(state: GaussianState, tol: float | None = None) -> np.nd
     return np.sort(pos)
 
 
+def williamson_spectrum(state: GaussianState) -> np.ndarray:
+    """Symplectic eigenvalues, ascending: the read-only ``state.spectrum``."""
+    return state.spectrum
+
+
 def is_pure(state: GaussianState, tol: float | None = None) -> bool:
     """True iff det V = 1 within tolerance (the purity criterion)."""
     t = default_tol(state.cov, tol)
@@ -149,7 +175,7 @@ def block_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotation and reflection parts of every 2x2 block of ``cov``.
 
     Block (i, j) splits uniquely as p R(alpha) + q R(beta) Z, with R the
-    rotation of :func:`gausscoh.equivalence.rotation` and Z = diag(1, -1).
+    rotation of :func:`rotation` and Z = diag(1, -1).
     The parts are returned as complex m x m arrays P = p e^{i alpha} and
     Q = q e^{i beta} (a stack of covariances gives stacks of parts). The
     block's singular values are p + q and |p - q|, its squared Frobenius
@@ -168,6 +194,17 @@ def block_norms(cov: np.ndarray) -> np.ndarray:
     return np.sqrt((cov * cov).reshape(m, 2, m, 2).sum(axis=(1, 3)))
 
 
+def isotropic_split(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each mode's isotropic weight, and what the weights leave of ``cov``.
+
+    lambda_i = tr(V_ii) / 2, and the m x m block norms of V - (+) lambda_i I_2:
+    the cross blocks off the diagonal and each mode's anisotropy on it.
+    """
+    diag = cov.diagonal()
+    lam = (diag[0::2] + diag[1::2]) / 2.0
+    return lam, block_norms(cov - np.diag(np.repeat(lam, 2)))
+
+
 def is_incoherent_state(
     state: GaussianState, tol: float | None = None
 ) -> list[float] | None:
@@ -180,9 +217,7 @@ def is_incoherent_state(
     t = default_tol(state.cov, tol)
     if np.linalg.norm(state.mean) > t:
         return None
-    diag = state.cov.diagonal()
-    lam = (diag[0::2] + diag[1::2]) / 2.0
-    # what the thermal part leaves: cross blocks and each mode's anisotropy
-    if np.max(block_norms(state.cov - np.diag(np.repeat(lam, 2)))) > t:
+    lam, rest = isotropic_split(state.cov)
+    if np.max(rest) > t:
         return None
     return [max((x - 1.0) / 2.0, 0.0) for x in lam]

@@ -32,19 +32,13 @@ from .core import (
     block_parts,
     default_tol,
     is_incoherent_state,
+    rotation,
     validate_state,
-    williamson_spectrum,
 )
 from .errors import ShapeError
 
 #: default relative residual tolerance for accepting a certificate
 RESIDUAL_TOL_REL = 1e-8
-
-
-def rotation(theta: float) -> np.ndarray:
-    """The SO(2) block [[cos, sin], [-sin, cos]] used throughout."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
 
 
 @dataclass(frozen=True)
@@ -71,10 +65,8 @@ class IncoherentUnitary:
 
     def matrix(self) -> np.ndarray:
         u = np.zeros((2 * self.modes, 2 * self.modes))
-        for i, target in enumerate(self.perm):
-            u[2 * target : 2 * target + 2, 2 * i : 2 * i + 2] = rotation(
-                self.angles[i]
-            )
+        for i, (target, angle) in enumerate(zip(self.perm, self.angles)):
+            u[2 * target : 2 * target + 2, 2 * i : 2 * i + 2] = rotation(angle)
         return u
 
     def inverse(self) -> "IncoherentUnitary":
@@ -134,17 +126,13 @@ def check_hypothesis(
     covariance block. One mode: the state must be coherent (nonzero mean or
     anisotropic covariance). Returns the first violation, or None.
     """
-    t = default_tol(state.cov, tol)
     if state.modes == 1:
-        if np.linalg.norm(state.mean) > t:
-            return None
-        block = state.mode_cov(0)
-        lam = (block[0, 0] + block[1, 1]) / 2.0
-        if np.linalg.norm(block - lam * np.eye(2)) > t:
+        if is_incoherent_state(state, tol) is None:
             return None
         return HypothesisViolated(
             mode=0, reason="one-mode state is incoherent (d = 0 and V is isotropic)"
         )
+    t = default_tol(state.cov, tol)
     norms = block_norms(state.cov)
     np.fill_diagonal(norms, 0.0)
     lonely = np.flatnonzero(norms.max(axis=1) <= t)
@@ -392,9 +380,7 @@ def decide_equivalence(
         accept = tol
     t = default_tol(rho.cov)
 
-    spec_r = williamson_spectrum(rho)
-    spec_s = williamson_spectrum(sigma)
-    if np.max(np.abs(spec_r - spec_s)) > max(accept, t):
+    if np.max(np.abs(rho.spectrum - sigma.spectrum)) > max(accept, t):
         return NotEquivalent(witness="symplectic spectrum")
     return _search(rho, sigma, accept, t)
 

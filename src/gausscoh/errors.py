@@ -16,7 +16,8 @@ class NotSymmetricError(GaussCohError):
 class UncertaintyViolationError(GaussCohError):
     """Covariance matrix violates the uncertainty relation.
 
-    Carries the offending symplectic eigenvalue in ``value``.
+    ``value`` carries the lowest eigenvalue of a V that is not positive
+    definite, or else the lowest symplectic eigenvalue.
     """
 
     def __init__(self, message, value=None):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, validate_state
+from .core import GaussianState, rotation, validate_state
 from .equivalence import IncoherentUnitary, apply_incoherent_unitary, check_hypothesis
 
 
@@ -41,10 +41,8 @@ def random_symplectic(m: int, rng: np.random.Generator, max_squeeze: float = 0.8
         for i in range(m):
             theta = rng.uniform(0.0, 2.0 * np.pi)
             r = rng.uniform(-max_squeeze, max_squeeze)
-            c, sn = np.cos(theta), np.sin(theta)
-            rot = np.array([[c, sn], [-sn, c]])
             sq = np.diag([np.exp(r), np.exp(-r)])
-            local[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rot @ sq
+            local[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rotation(theta) @ sq
         s = local @ s
         for i in range(m - 1):
             s = _beamsplitter(m, i, i + 1, rng.uniform(0.2, np.pi / 2 - 0.2)) @ s
@@ -130,13 +128,7 @@ def perturbed_pair(
 
 def williamson_invariance_check(state: GaussianState, seed: int = 0) -> float:
     """Max spectrum deviation under a random symplectic congruence."""
-    from .core import williamson_spectrum
-
     rng = np.random.default_rng(seed)
     s = random_symplectic(state.modes, rng)
     conjugated = validate_state(s @ state.cov @ s.T, s @ state.mean)
-    return float(
-        np.max(
-            np.abs(williamson_spectrum(state) - williamson_spectrum(conjugated))
-        )
-    )
+    return float(np.max(np.abs(state.spectrum - conjugated.spectrum)))

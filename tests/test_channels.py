@@ -121,6 +121,33 @@ class TestClassifyIncoherent:
         assert cls.verdict == "not-incoherent"
         assert "below the required bound" in cls.reason
 
+    # the remaining reasons, on unvalidated triples; the first failure wins
+    def test_unscaled_block_rejected(self):
+        raw = gc.GaussianChannel(T=np.diag([1.0, 2.0]), N=np.eye(2), shift=np.zeros(2))
+        cls = gc.classify_incoherent(raw)
+        assert cls.verdict == "not-incoherent"
+        assert cls.reason == "block in column pair 0 is not a scaled orthogonal matrix"
+
+    def test_correlated_noise_rejected(self):
+        # mode 2 is also anisotropic, but row 1's cross block comes first
+        N = np.eye(6)
+        N[2:4, 4:6] = N[4:6, 2:4] = 0.1 * np.eye(2)
+        N[4, 4] = 2.0
+        raw = gc.GaussianChannel(T=np.eye(6), N=N, shift=np.zeros(6))
+        cls = gc.classify_incoherent(raw)
+        assert cls.verdict == "not-incoherent"
+        assert cls.reason == "N has a nonzero off-diagonal block at (1, 2)"
+
+    def test_anisotropic_noise_rejected(self):
+        # mode 0's anisotropy comes before the cross block in row 1
+        N = np.eye(6)
+        N[0, 0] = 2.0
+        N[2:4, 4:6] = N[4:6, 2:4] = 0.1 * np.eye(2)
+        raw = gc.GaussianChannel(T=np.eye(6), N=N, shift=np.zeros(6))
+        cls = gc.classify_incoherent(raw)
+        assert cls.verdict == "not-incoherent"
+        assert cls.reason == "N block at mode 0 is not a multiple of the identity"
+
     @pytest.mark.parametrize("seed", range(10))
     def test_spec_round_trip(self, seed):
         rng = np.random.default_rng(seed)

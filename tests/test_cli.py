@@ -129,6 +129,48 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "UncertaintyViolationError"
 
+    @pytest.mark.parametrize(
+        "cov",
+        [[[-3, 0], [0, -3]], [[1, 0, 2, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]],
+        ids=["negative", "indefinite"],
+    )
+    def test_validate_not_positive_definite_is_input_error(self, tmp_path, cov):
+        path = tmp_path / "bad.json"
+        n = len(cov)
+        path.write_text(json.dumps({"modes": n // 2, "mean": [0] * n, "cov": cov}))
+        code, out, err = run_cli(["validate", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "UncertaintyViolationError"
+
+    def test_make_indefinite_standard_form_is_input_error(self):
+        code, out, err = run_cli(
+            ["make", "standard-form", "--a", "1", "--b", "1", "--c", "2",
+             "--d-corr", "0"]
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "UncertaintyViolationError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--tol", "-1e-5", "validate", "x.json"], ["nonsense"], ["equiv", "a.json"]],
+        ids=["negative-tol", "unknown-command", "missing-argument"],
+    )
+    def test_usage_error_is_json(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.run(argv)
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "ArgumentError"
+
+    def test_help_is_plain_text(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.run(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gausscoh")
+
     def test_missing_file_is_input_error(self):
         code, _, err = run_cli(["validate", "/nonexistent/state.json"])
         assert code == 2

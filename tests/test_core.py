@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gausscoh as gc
-from gausscoh.core import block_norms, block_parts
+from gausscoh.core import block_norms, block_parts, isotropic_split
 from gausscoh.equivalence import rotation
 from gausscoh.sampling import RandomStateRecipe, random_state, random_symplectic
 
@@ -47,6 +49,17 @@ class TestValidateState:
         state = gc.validate_state(cov, np.zeros(2))
         assert np.linalg.det(state.cov) == pytest.approx(1.0)
         assert gc.williamson_spectrum(state)[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [-3.0 * np.eye(2), np.diag([3.0, 3.0, -3.0, -3.0])],
+        ids=["negative", "indefinite"],
+    )
+    def test_not_positive_definite_rejected(self, cov):
+        # the symplectic moduli of these are 3, which alone would pass
+        with pytest.raises(gc.UncertaintyViolationError) as err:
+            gc.validate_state(cov, np.zeros(len(cov)))
+        assert err.value.value == pytest.approx(-3.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(gc.ShapeError):
@@ -106,6 +119,40 @@ class TestWilliamsonSpectrum:
         )
 
 
+def _fresh_spectrum(cov):
+    """The symplectic spectrum from a new eigen-solve of Omega V."""
+    m = cov.shape[0] // 2
+    imag = np.sort(np.linalg.eigvals(gc.symplectic_form(m) @ cov).imag)
+    return np.sort(imag[m:])
+
+
+class TestStoredSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        direct=st.booleans(),
+    )
+    def test_equals_a_fresh_solve_and_is_read_only(self, m, seed, direct):
+        state = random_state(RandomStateRecipe(modes=m, seed=seed, hypothesis=False))
+        if direct:
+            # built without validation: the partial transpose of mode 0,
+            # which need not be a state
+            flip = np.ones(2 * m)
+            flip[1] = -1.0
+            cov = state.cov * np.outer(flip, flip)
+            state = gc.GaussianState(cov=cov, mean=state.mean.copy())
+        np.testing.assert_array_equal(state.spectrum, _fresh_spectrum(state.cov))
+        assert gc.williamson_spectrum(state) is state.spectrum
+        with pytest.raises(ValueError):
+            state.spectrum[0] = 0.0
+
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            gc.GaussianState(cov=np.eye(2), mean=np.zeros(2), modes=1)
+        assert "spectrum" not in repr(gc.vacuum())
+
+
 class TestIsPure:
     def test_vacuum_pure(self):
         assert gc.is_pure(gc.vacuum())
@@ -137,6 +184,22 @@ class TestIsIncoherentState:
     def test_incoherent_mixed_unless_vacuum(self):
         assert not gc.is_pure(gc.thermal([0.3, 0.7]))
         assert gc.is_pure(gc.thermal([0.0, 0.0]))
+
+
+class TestIsotropicSplit:
+    def test_weights_and_remainder(self):
+        cov = np.array(
+            [
+                [3.0, 0.5, 0.2, 0.0],
+                [0.5, 1.0, 0.0, 0.0],
+                [0.2, 0.0, 2.0, 0.0],
+                [0.0, 0.0, 0.0, 2.0],
+            ]
+        )
+        lam, rest = isotropic_split(cov)
+        np.testing.assert_array_equal(lam, [2.0, 2.0])
+        # mode 0's anisotropy diag(1, -1) plus the 0.5 pair, the 0.2 cross entry
+        np.testing.assert_allclose(rest, [[np.sqrt(2.5), 0.2], [0.2, 0.0]])
 
 
 class TestRoundTrip:

@@ -18,6 +18,19 @@ from gausscoh.sampling import (
 )
 
 
+def test_decide_solves_no_spectrum(monkeypatch):
+    # both states carry their spectra from construction; stage 3 reads them
+    rho, sigma, _ = equivalent_pair(RandomStateRecipe(modes=3, seed=2))
+    _, other = perturbed_pair(RandomStateRecipe(modes=3, seed=2))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an eigenproblem was solved")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+    assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
+    assert gc.decide_equivalence(rho, other).witness == "symplectic spectrum"
+
+
 def _accept(rho):
     """The oracle's default acceptance threshold for a pair starting at rho."""
     return equivalence.RESIDUAL_TOL_REL * max(1.0, np.linalg.norm(rho.cov))
