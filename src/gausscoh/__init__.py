@@ -50,6 +50,7 @@ from .equivalence import (
 from .errors import (
     GaussCohError,
     InvariantViolationError,
+    NonFiniteError,
     NotCompletelyPositiveError,
     NotFaithfulError,
     NotSymmetricError,
@@ -84,6 +85,7 @@ __all__ = [
     "IgoSpec",
     "IncoherentUnitary",
     "InvariantViolationError",
+    "NonFiniteError",
     "NotCompletelyPositiveError",
     "NotEquivalent",
     "NotFaithfulError",

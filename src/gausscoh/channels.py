@@ -24,6 +24,7 @@ from .core import (
     validate_state,
 )
 from .errors import (
+    NonFiniteError,
     NotCompletelyPositiveError,
     NotFaithfulError,
     NotSymmetricError,
@@ -109,6 +110,8 @@ def validate_channel(
     T = np.asarray(T, dtype=float)
     N = np.asarray(N, dtype=float)
     shift = np.asarray(shift, dtype=float)
+    if not all(np.isfinite(a).all() for a in (T, N, shift)):
+        raise NonFiniteError("T, N and shift must be finite")
     if T.ndim != 2 or T.shape[0] != T.shape[1] or T.shape[0] % 2 != 0 or T.shape[0] == 0:
         raise ShapeError(f"T must be 2m x 2m with m >= 1, got shape {T.shape}")
     n = T.shape[0]

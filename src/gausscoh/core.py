@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    NonFiniteError,
     NotSymmetricError,
     NumericError,
     ShapeError,
@@ -91,13 +92,15 @@ def validate_state(
 ) -> GaussianState:
     """Validate (cov, mean) and return an immutable :class:`GaussianState`.
 
-    The covariance is symmetrized as (V + V^t)/2 when the asymmetry is
-    within tolerance. The uncertainty relation then requires V positive
-    definite (its lowest eigenvalue >= -tol) and the minimum symplectic
-    eigenvalue >= 1 - tol.
+    Every entry must be finite. The covariance is symmetrized as
+    (V + V^t)/2 when the asymmetry is within tolerance. The uncertainty
+    relation then requires V positive definite (its lowest eigenvalue
+    >= -tol) and the minimum symplectic eigenvalue >= 1 - tol.
     """
     cov = np.asarray(cov, dtype=float)
     mean = np.asarray(mean, dtype=float)
+    if not (np.isfinite(cov).all() and np.isfinite(mean).all()):
+        raise NonFiniteError("covariance and mean must be finite")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ShapeError(f"covariance must be a square matrix, got shape {cov.shape}")
     n = cov.shape[0]

@@ -6,14 +6,15 @@ composed with per-mode SO(2) rotations. :func:`decide_equivalence` searches
 that group directly and emits the unitary as a verifiable certificate.
 
 After the cheap checks (incoherence, the theorem's hypothesis, the
-symplectic spectrum, per-mode labels), one backtracking search walks the
-modes of rho in BFS order over its cross blocks and gives each a target
-mode and an angle together. Every 2x2 block splits into a rotation part and
-a reflection part (:func:`gausscoh.core.block_parts`), and each part, like
-each mean, fixes an angle, a difference or a sum of two angles in closed
-form, so no angle is scanned. A placed mode's mean and blocks to the modes
-placed before it are checked at once against the acceptance threshold;
-each complete assignment is accepted only on its full residual.
+symplectic spectrum, per-mode labels refined by the mean holonomies of
+:func:`_holonomies`), one backtracking search walks the modes of rho in BFS
+order over its cross blocks and gives each a target mode and an angle
+together. Every 2x2 block splits into a rotation part and a reflection part
+(:func:`gausscoh.core.block_parts`), and each part, like each mean, fixes
+an angle, a difference or a sum of two angles in closed form, so no angle
+is scanned. A placed mode's mean and blocks to the modes placed before it
+are checked at once against the acceptance threshold; each complete
+assignment is accepted only on its full residual.
 """
 
 from __future__ import annotations
@@ -178,6 +179,25 @@ def _labels(p, q, d) -> np.ndarray:
     )
 
 
+def _holonomies(p, q, d) -> np.ndarray:
+    """Per-mode sums in which every rotation phase cancels, one row per mode.
+
+    By :func:`block_parts`, rotations take P_ij to u_i conj(u_j) P_ij, Q_ij to
+    u_i u_j Q_ij and d_i to conj(u_i) d_i, so d_i (P conj(d))_i, d_i (Q d)_i
+    and d_i^2 Q_ii keep their values and a permutation only moves the rows.
+    The six columns are their real and imaginary parts.
+    """
+    pd = (p @ d.conj()[..., None])[..., 0]
+    qd = (q @ d[..., None])[..., 0]
+    h = d[..., None] * np.stack([pd, qd, d * q.diagonal(axis1=-2, axis2=-1)], axis=-1)
+    return np.concatenate([h.real, h.imag], axis=-1)
+
+
+def _holonomy_band(band: float, norm_v: float, norm_d: float) -> float:
+    """Three times how far a holonomy moves when V and d move by ``band``."""
+    return 3.0 * band * (norm_d + band) * (2.0 * norm_v + norm_d + band)
+
+
 def _bfs_order(strong: list):
     """Modes in BFS order over ``strong`` edges, and each mode's BFS parent."""
     order, parent = [], {}
@@ -242,14 +262,25 @@ def _search(rho, sigma, accept: float, tol: float) -> EquivalenceVerdict:
     values. A component without one takes w from its strongest weaker part
     once complete, and keeps w = 1 when no part involves w: that is an
     exact gauge freedom.
+
+    A mode may go only to modes with its labels within ``band``; when that
+    leaves a choice and a mean is nonzero, also with its holonomies within
+    :func:`_holonomy_band`. A mode left without one: "mode fingerprints".
     """
     m = rho.modes
     p, q = block_parts(np.stack([rho.cov, sigma.cov]))
     # each mode's mean (x, p) as the complex number x + i p
     d = np.stack([rho.mean, sigma.mean]).view(complex)
-    band = max(tol, 1e-6 * max(1.0, float(np.linalg.norm(rho.cov))))
+    norm_v = max(1.0, float(np.linalg.norm(rho.cov)))
+    band = max(tol, 1e-6 * norm_v)
     lab_r, lab_s = _labels(p, q, d)
     compatible = np.all(np.abs(lab_r[:, None] - lab_s[None, :]) <= band, axis=2)
+    # refine only a choice the moduli leave; with zero means every holonomy is 0
+    if np.count_nonzero(compatible) > m and d.any():
+        hol_r, hol_s = _holonomies(p, q, d)
+        norm_d = max(1.0, float(np.linalg.norm(rho.mean)))
+        h_band = _holonomy_band(band, norm_v, norm_d)
+        compatible &= np.all(np.abs(hol_r[:, None] - hol_s[None, :]) <= h_band, axis=2)
     if not (compatible.any(axis=0).all() and compatible.any(axis=1).all()):
         return NotEquivalent(witness="mode fingerprints")
 

@@ -9,6 +9,10 @@ class ShapeError(GaussCohError):
     """Array dimensions are inconsistent with an m-mode object."""
 
 
+class NonFiniteError(GaussCohError):
+    """An input array holds a NaN or an infinite entry."""
+
+
 class NotSymmetricError(GaussCohError):
     """A matrix required to be symmetric deviates beyond tolerance."""
 

@@ -26,6 +26,14 @@ class TestValidateChannel:
             gc.validate_channel(2.0 * np.eye(2), np.zeros((2, 2)), np.zeros(2))
         assert err.value.min_eigenvalue == pytest.approx(-3.0)
 
+    @pytest.mark.parametrize("entry", ["T", "N", "shift"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, entry, value):
+        parts = {"T": np.eye(2), "N": np.eye(2), "shift": np.zeros(2)}
+        parts[entry].flat[0] = value
+        with pytest.raises(gc.NonFiniteError):
+            gc.validate_channel(parts["T"], parts["N"], parts["shift"])
+
     def test_shape_errors(self):
         with pytest.raises(gc.ShapeError):
             gc.validate_channel(np.eye(2), np.eye(4), np.zeros(2))

@@ -143,6 +143,35 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "UncertaintyViolationError"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"modes": 1, "mean": [0, 0], "cov": [[NaN, 0], [0, 2]]}',
+            '{"modes": 1, "mean": [NaN, 0], "cov": [[2, 0], [0, 2]]}',
+            '{"modes": 1, "mean": [0, Infinity], "cov": [[2, 0], [0, 2]]}',
+        ],
+        ids=["nan-cov", "nan-mean", "inf-mean"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "equiv"])
+    def test_non_finite_state_is_input_error(self, tmp_path, doc, command):
+        # json reads NaN and Infinity; the state must still be rejected
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        argv = [command, str(path)] + ([str(path)] if command == "equiv" else [])
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "NonFiniteError"
+
+    def test_non_finite_channel_is_input_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"modes": 1, "T": [[1, 0], [0, 1]], "N": [[NaN, 0], [0, 0]],'
+            ' "shift": [0, 0]}'
+        )
+        code, out, err = run_cli(["classify", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "NonFiniteError"
+
     def test_make_indefinite_standard_form_is_input_error(self):
         code, out, err = run_cli(
             ["make", "standard-form", "--a", "1", "--b", "1", "--c", "2",

@@ -61,6 +61,15 @@ class TestValidateState:
             gc.validate_state(cov, np.zeros(len(cov)))
         assert err.value.value == pytest.approx(-3.0)
 
+    @pytest.mark.parametrize("entry", ["cov", "mean"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, entry, value):
+        # NaN passes every comparison that would reject it, and inf + (-inf) is NaN
+        cov, mean = 2.0 * np.eye(2), np.zeros(2)
+        {"cov": cov, "mean": mean}[entry][0] = value
+        with pytest.raises(gc.NonFiniteError):
+            gc.validate_state(cov, mean)
+
     def test_shape_mismatch(self):
         with pytest.raises(gc.ShapeError):
             gc.validate_state(np.eye(2), np.zeros(4))

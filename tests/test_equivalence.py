@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import gausscoh as gc
 from gausscoh import equivalence
 from gausscoh.channels import rotation_channel
+from gausscoh.core import block_parts, default_tol
 from gausscoh.equivalence import rotation
 from gausscoh.sampling import (
     RandomStateRecipe,
@@ -319,7 +320,85 @@ class TestSearch:
         sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(m, rng), other)
         verdict = gc.decide_equivalence(rho, sigma)
         assert isinstance(verdict, gc.NotEquivalent)
+        # the mean holonomies see the phase differences between neighbours
+        assert verdict.witness == "mode fingerprints"
+
+    def test_rotated_mean_exhausts_the_search(self):
+        # a generic covariance pins the permutation, so the holonomies are
+        # not consulted and the search rejects the rotated mode itself
+        m = 6
+        rho, _, planted = equivalent_pair(RandomStateRecipe(modes=m, seed=6))
+        k = int(np.argmax(np.linalg.norm(rho.mean.reshape(m, 2), axis=1)))
+        mean = rho.mean.copy()
+        mean[2 * k : 2 * k + 2] = rotation(1.0) @ mean[2 * k : 2 * k + 2]
+        other = gc.validate_state(rho.cov, mean)
+        sigma = gc.apply_incoherent_unitary(planted, other)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.NotEquivalent)
         assert verdict.witness == "search exhausted"
+
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    @pytest.mark.parametrize("radius", [0.01, 1.0, 30.0])
+    def test_planted_displaced_ring_is_refined(self, m, radius, monkeypatch):
+        calls, real = [], equivalence._holonomies
+
+        def spy(p, q, d):
+            calls.append(d.shape)
+            return real(p, q, d)
+
+        monkeypatch.setattr(equivalence, "_holonomies", spy)
+        rng = np.random.default_rng([m, int(100 * radius)])
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
+        mean = radius * np.ravel(np.column_stack([np.cos(phases), np.sin(phases)]))
+        rho = gc.validate_state(_isotropic_ring(m), mean)
+        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(m, rng), rho)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.Equivalent)
+        assert verdict.residual <= _accept(rho)
+        assert calls == [(2, m)]
+
+
+def _holonomy_rows(rho, cov, mean):
+    """The holonomy rows of rho and of (cov, mean), and the bands of the search."""
+    p, q = block_parts(np.stack([rho.cov, cov]))
+    d = np.stack([rho.mean, mean]).view(complex)
+    norm_v = max(1.0, np.linalg.norm(rho.cov))
+    band = max(default_tol(rho.cov), 1e-6 * norm_v)
+    norm_d = max(1.0, np.linalg.norm(rho.mean))
+    h_band = equivalence._holonomy_band(band, norm_v, norm_d)
+    return equivalence._holonomies(p, q, d), h_band, band
+
+
+class TestHolonomies:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        mean_scale=st.sampled_from([0.01, 1.0, 30.0, 300.0]),
+    )
+    def test_rows_move_with_the_permutation(self, m, seed, mean_scale):
+        recipe = RandomStateRecipe(modes=m, seed=seed, mean_scale=mean_scale)
+        rho, sigma, planted = equivalent_pair(recipe)
+        (hol_r, hol_s), h_band, _ = _holonomy_rows(rho, sigma.cov, sigma.mean)
+        assert np.all(np.abs(hol_s[list(planted.perm)] - hol_r) <= h_band)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        mean_scale=st.sampled_from([0.01, 1.0, 30.0, 300.0]),
+    )
+    def test_band_bounds_a_move_of_v_and_d(self, m, seed, mean_scale):
+        rho = random_state(RandomStateRecipe(modes=m, seed=seed, mean_scale=mean_scale))
+        rng = np.random.default_rng(seed)
+        _, h_band, band = _holonomy_rows(rho, rho.cov, rho.mean)
+        # a symmetric move of V and a move of d, each of norm exactly band
+        e = rng.normal(size=(2 * m, 2 * m))
+        e = band * (e + e.T) / np.linalg.norm(e + e.T)
+        delta = rng.normal(size=2 * m)
+        delta *= band / np.linalg.norm(delta)
+        (hol_r, hol_m), _, _ = _holonomy_rows(rho, rho.cov + e, rho.mean + delta)
+        assert np.all(np.abs(hol_m - hol_r) <= h_band)
 
 
 class TestBruteForce:
