@@ -305,11 +305,7 @@ def random_igo(
     return igo_channel(spec)
 
 
-def petz_recovery(
-    channel: GaussianChannel,
-    reference: GaussianState,
-    tol: float = 1e-12,
-) -> GaussianChannel:
+def petz_recovery(channel: GaussianChannel, reference: GaussianState) -> GaussianChannel:
     """Petz recovery channel of an incoherent channel for a thermal reference.
 
     For a faithful thermal reference with occupations n_i and image
@@ -330,7 +326,7 @@ def petz_recovery(
     k_bars = is_incoherent_state(image)
     if k_bars is None:  # pragma: no cover - IGOs preserve incoherence
         raise NumericError("image of the thermal reference is not incoherent")
-    if any(k <= tol for k in k_bars):
+    if any(k <= 1e-12 for k in k_bars):  # a vacuum image mode
         raise NotFaithfulError(
             f"image occupations {k_bars} contain a vacuum mode; the recovery "
             "map is undefined for an unfaithful image"

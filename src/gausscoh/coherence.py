@@ -44,9 +44,9 @@ class CoherenceReport:
     reference: GaussianState
 
 
-def mean_photon_numbers(state: GaussianState, tol: float | None = None) -> list[float]:
+def mean_photon_numbers(state: GaussianState) -> list[float]:
     """Per-mode mean photon numbers n_i = [tr V^(i) + ||d^(i)||^2 - 2] / 4."""
-    t = default_tol(state.cov, tol)
+    t = default_tol(state.cov)
     out = []
     for i in range(state.modes):
         block = state.mode_cov(i)

@@ -168,10 +168,9 @@ def williamson_spectrum(state: GaussianState) -> np.ndarray:
     return state.spectrum
 
 
-def is_pure(state: GaussianState, tol: float | None = None) -> bool:
-    """True iff det V = 1 within tolerance (the purity criterion)."""
-    t = default_tol(state.cov, tol)
-    return abs(np.linalg.det(state.cov) - 1.0) <= max(t, DEFAULT_TOL_REL)
+def is_pure(state: GaussianState) -> bool:
+    """True iff det V = 1 within :func:`default_tol` (the purity criterion)."""
+    return abs(np.linalg.det(state.cov) - 1.0) <= default_tol(state.cov)
 
 
 def block_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,16 +207,14 @@ def isotropic_split(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, block_norms(cov - np.diag(np.repeat(lam, 2)))
 
 
-def is_incoherent_state(
-    state: GaussianState, tol: float | None = None
-) -> list[float] | None:
+def is_incoherent_state(state: GaussianState) -> list[float] | None:
     """Mean photon numbers [n_1, ..., n_m] if the state is incoherent.
 
     An incoherent Gaussian state is a tensor product of thermal states:
     zero mean, no cross-mode correlations, and each mode block equal to
-    (2 n_i + 1) I_2. Returns ``None`` for coherent states.
+    (2 n_i + 1) I_2, within :func:`default_tol`. Returns ``None`` otherwise.
     """
-    t = default_tol(state.cov, tol)
+    t = default_tol(state.cov)
     if np.linalg.norm(state.mean) > t:
         return None
     lam, rest = isotropic_split(state.cov)

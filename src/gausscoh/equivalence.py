@@ -36,10 +36,12 @@ from .core import (
     rotation,
     validate_state,
 )
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 #: default relative residual tolerance for accepting a certificate
 RESIDUAL_TOL_REL = 1e-8
+#: coherences within this many bits count as frozen
+FROZEN_TOL_BITS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,25 +120,23 @@ def apply_incoherent_unitary(
     return validate_state(u @ state.cov @ u.T, u @ state.mean)
 
 
-def check_hypothesis(
-    state: GaussianState, tol: float | None = None
-) -> HypothesisViolated | None:
+def check_hypothesis(state: GaussianState) -> HypothesisViolated | None:
     """Check the structural hypothesis of the equivalence theorems.
 
     Multimode: every mode must have at least one nonzero off-diagonal
     covariance block. One mode: the state must be coherent (nonzero mean or
-    anisotropic covariance). Returns the first violation, or None.
+    anisotropic covariance). "Nonzero" means above the state's
+    :func:`default_tol`. Returns the first violation, or None.
     """
     if state.modes == 1:
-        if is_incoherent_state(state, tol) is None:
+        if is_incoherent_state(state) is None:
             return None
         return HypothesisViolated(
             mode=0, reason="one-mode state is incoherent (d = 0 and V is isotropic)"
         )
-    t = default_tol(state.cov, tol)
     norms = block_norms(state.cov)
     np.fill_diagonal(norms, 0.0)
-    lonely = np.flatnonzero(norms.max(axis=1) <= t)
+    lonely = np.flatnonzero(norms.max(axis=1) <= default_tol(state.cov))
     if lonely.size:
         i = int(lonely[0])
         return HypothesisViolated(
@@ -193,9 +193,17 @@ def _holonomies(p, q, d) -> np.ndarray:
     return np.concatenate([h.real, h.imag], axis=-1)
 
 
-def _holonomy_band(band: float, norm_v: float, norm_d: float) -> float:
-    """Three times how far a holonomy moves when V and d move by ``band``."""
-    return 3.0 * band * (norm_d + band) * (2.0 * norm_v + norm_d + band)
+def _bands(rho: GaussianState, accept: float) -> tuple[float, float]:
+    """The label band, at least ``accept``, and the holonomy band it implies.
+
+    Moving V and d by r moves no label by more than r, so a unitary within
+    ``accept`` stays inside the label band. The holonomy band is three times
+    how far a holonomy moves when V and d move by the label band.
+    """
+    norm_v = max(1.0, float(np.linalg.norm(rho.cov)))
+    norm_d = max(1.0, float(np.linalg.norm(rho.mean)))
+    band = max(accept, 1e-6 * norm_v)
+    return band, 3.0 * band * (norm_d + band) * (2.0 * norm_v + norm_d + band)
 
 
 def _bfs_order(strong: list):
@@ -250,7 +258,7 @@ def _gap(term, w) -> float:
     return abs(x0 * w**power - y)
 
 
-def _search(rho, sigma, accept: float, tol: float) -> EquivalenceVerdict:
+def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     """Backtracking search for a permutation and angles taking rho to sigma.
 
     A mode's angle is held as the unit complex u_i = e^{i theta_i}. The
@@ -263,29 +271,27 @@ def _search(rho, sigma, accept: float, tol: float) -> EquivalenceVerdict:
     once complete, and keeps w = 1 when no part involves w: that is an
     exact gauge freedom.
 
-    A mode may go only to modes with its labels within ``band``; when that
-    leaves a choice and a mean is nonzero, also with its holonomies within
-    :func:`_holonomy_band`. A mode left without one: "mode fingerprints".
+    A mode may go only to modes with its labels within the label band of
+    :func:`_bands`; when that leaves a choice and a mean is nonzero, also with
+    its holonomies within the holonomy band. A mode left without one:
+    "mode fingerprints".
     """
     m = rho.modes
     p, q = block_parts(np.stack([rho.cov, sigma.cov]))
     # each mode's mean (x, p) as the complex number x + i p
     d = np.stack([rho.mean, sigma.mean]).view(complex)
-    norm_v = max(1.0, float(np.linalg.norm(rho.cov)))
-    band = max(tol, 1e-6 * norm_v)
+    band, h_band = _bands(rho, accept)
     lab_r, lab_s = _labels(p, q, d)
     compatible = np.all(np.abs(lab_r[:, None] - lab_s[None, :]) <= band, axis=2)
     # refine only a choice the moduli leave; with zero means every holonomy is 0
     if np.count_nonzero(compatible) > m and d.any():
         hol_r, hol_s = _holonomies(p, q, d)
-        norm_d = max(1.0, float(np.linalg.norm(rho.mean)))
-        h_band = _holonomy_band(band, norm_v, norm_d)
         compatible &= np.all(np.abs(hol_r[:, None] - hol_s[None, :]) <= h_band, axis=2)
     if not (compatible.any(axis=0).all() and compatible.any(axis=1).all()):
         return NotEquivalent(witness="mode fingerprints")
 
     # parts below this scale give unreliable angles for the other blocks
-    anchor = max(100.0 * tol, 1e-6)
+    anchor = max(10.0 * accept, 1e-6)
     strong = (np.abs(p[0]) > anchor) | (np.abs(q[0]) > anchor)
     np.fill_diagonal(strong, False)
     order, parent = _bfs_order(strong.tolist())
@@ -382,6 +388,24 @@ def _search(rho, sigma, accept: float, tol: float) -> EquivalenceVerdict:
     )
 
 
+def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float]:
+    """The incoherence verdict both deciders start with, or None, and ``accept``.
+
+    ``accept`` is ``tol``, or ``RESIDUAL_TOL_REL * max(1, ||V_rho||_F)``.
+    """
+    if rho.modes != sigma.modes:
+        raise ShapeError(f"mode mismatch: {rho.modes} vs {sigma.modes}")
+    accept = tol
+    if accept is None:
+        accept = RESIDUAL_TOL_REL * max(1.0, float(np.linalg.norm(rho.cov)))
+    inc_r, inc_s = (is_incoherent_state(state) is not None for state in (rho, sigma))
+    if inc_r and inc_s:
+        return AllIncoherent(), accept
+    if inc_r != inc_s:
+        return NotEquivalent(witness="coherence mismatch"), accept
+    return None, accept
+
+
 def decide_equivalence(
     rho: GaussianState, sigma: GaussianState, tol: float | None = None
 ) -> EquivalenceVerdict:
@@ -390,30 +414,20 @@ def decide_equivalence(
     Returns :class:`Equivalent` with an incoherent-unitary certificate,
     :class:`NotEquivalent` with a witness, :class:`AllIncoherent` when both
     states are thermal products, or :class:`HypothesisViolated` when a
-    coherent multimode state falls outside the theorem's hypothesis.
+    coherent multimode state falls outside the theorem's hypothesis. ``tol``
+    is the acceptance threshold, and every stage derives its band from it.
     """
-    if rho.modes != sigma.modes:
-        raise ShapeError(f"mode mismatch: {rho.modes} vs {sigma.modes}")
-    inc_r = is_incoherent_state(rho)
-    inc_s = is_incoherent_state(sigma)
-    if inc_r is not None and inc_s is not None:
-        return AllIncoherent()
-    if (inc_r is None) != (inc_s is None):
-        return NotEquivalent(witness="coherence mismatch")
-    if rho.modes >= 2:
-        for state in (rho, sigma):
-            violation = check_hypothesis(state)
-            if violation is not None:
-                return violation
-
-    accept = RESIDUAL_TOL_REL * max(1.0, float(np.linalg.norm(rho.cov)))
-    if tol is not None:
-        accept = tol
-    t = default_tol(rho.cov)
-
-    if np.max(np.abs(rho.spectrum - sigma.spectrum)) > max(accept, t):
+    early, accept = _prechecks(rho, sigma, tol)
+    if early is not None:
+        return early
+    # both states are coherent here, which is all one mode needs
+    for violation in map(check_hypothesis, (rho, sigma)):
+        if violation is not None:
+            return violation
+    # never below the rounding floor of the eigen-solve behind the spectra
+    if np.max(np.abs(rho.spectrum - sigma.spectrum)) > max(accept, default_tol(rho.cov)):
         return NotEquivalent(witness="symplectic spectrum")
-    return _search(rho, sigma, accept, t)
+    return _search(rho, sigma, accept)
 
 
 # ---------------------------------------------------------------------------
@@ -523,29 +537,20 @@ def brute_force_equivalence(
     surviving centres.
 
     Returns :class:`Equivalent` once a polished point's residual is at most
-    ``1e-8 * max(1, ||V||_F)`` (or ``tol``). When every box of every
-    permutation is pruned, no incoherent unitary comes within the threshold,
-    and the verdict is ``NotEquivalent(witness="residual lower bound")``. A
-    level over ``_BOX_BUDGET`` boxes, or a box still alive after
-    ``_MAX_LEVELS`` levels, ends that permutation without that proof: the
-    verdict is then ``NotEquivalent(witness="search exhausted")``. Either way,
+    the threshold of :func:`_prechecks`. When every box of every permutation
+    is pruned, no incoherent unitary comes within it, and the verdict is
+    ``NotEquivalent(witness="residual lower bound")``. A level over
+    ``_BOX_BUDGET`` boxes, or a box still alive after ``_MAX_LEVELS`` levels,
+    ends that permutation without that proof: the verdict is then
+    ``NotEquivalent(witness="search exhausted")``. Either way,
     ``best_residual`` is the smallest residual the search evaluated.
     """
-    if rho.modes != sigma.modes:
-        raise ShapeError(f"mode mismatch: {rho.modes} vs {sigma.modes}")
+    early, accept = _prechecks(rho, sigma, tol)
     m = rho.modes
     if m > 3:
         raise ValueError("brute-force oracle supports at most 3 modes")
-    inc_r = is_incoherent_state(rho)
-    inc_s = is_incoherent_state(sigma)
-    if inc_r is not None and inc_s is not None:
-        return AllIncoherent()
-    if (inc_r is None) != (inc_s is None):
-        return NotEquivalent(witness="coherence mismatch")
-
-    accept = RESIDUAL_TOL_REL * max(1.0, float(np.linalg.norm(rho.cov)))
-    if tol is not None:
-        accept = tol
+    if early is not None:
+        return early
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
     best = math.inf
     exhausted = False
@@ -594,11 +599,13 @@ class FrozenReport:
     certificate: IncoherentUnitary | None = None
 
 
-def is_frozen(rho: GaussianState, channel, tol: float = 1e-9) -> FrozenReport:
+def is_frozen(rho: GaussianState, channel) -> FrozenReport:
     """Whether a strictly incoherent channel leaves the state's coherence unchanged.
 
-    When frozen, the channel's input and output are incoherent-equivalent
-    and the report carries the certificate from :func:`decide_equivalence`.
+    Frozen means within ``FROZEN_TOL_BITS``; then input and output are
+    equivalent, and the report carries the certificate from
+    :func:`decide_equivalence`. A ``NotEquivalent`` verdict there contradicts
+    that theorem and raises :class:`NumericError`.
     """
     from .channels import apply_channel, classify_incoherent
 
@@ -608,12 +615,11 @@ def is_frozen(rho: GaussianState, channel, tol: float = 1e-9) -> FrozenReport:
     out = apply_channel(channel, rho)
     c_in = relative_entropy_coherence(rho).c_rel_ent
     c_out = relative_entropy_coherence(out).c_rel_ent
-    frozen = abs(c_in - c_out) <= tol
-    certificate = None
-    if frozen:
-        verdict = decide_equivalence(rho, out)
-        if isinstance(verdict, Equivalent):
-            certificate = verdict.certificate
+    frozen = abs(c_in - c_out) <= FROZEN_TOL_BITS
+    verdict = decide_equivalence(rho, out) if frozen else None
+    if isinstance(verdict, NotEquivalent):
+        raise NumericError(f"coherence {c_in!r} -> {c_out!r} bits frozen, but {verdict}")
+    certificate = verdict.certificate if isinstance(verdict, Equivalent) else None
     return FrozenReport(
         frozen=frozen, coherence_in=c_in, coherence_out=c_out, certificate=certificate
     )

@@ -107,7 +107,7 @@ def two_mode_standard_form(
 
 
 def standard_form_spectra(
-    a: float, b: float, c: float, d_corr: float, tol: float = 1e-9
+    a: float, b: float, c: float, d_corr: float
 ) -> tuple[float, float, float, float]:
     """Closed-form symplectic spectra of a standard-form state and its partial transpose.
 
@@ -121,7 +121,7 @@ def standard_form_spectra(
 
     def _pair(delta: float) -> tuple[float, float]:
         disc = delta * delta - 4.0 * det_v
-        if disc < -tol:
+        if disc < -1e-9:  # beyond rounding
             raise NumericError(
                 f"negative discriminant {disc:.3e}: parameters are unphysical"
             )

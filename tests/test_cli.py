@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import gausscoh as gc
-from gausscoh import cli
+from gausscoh import cli, equivalence
 from gausscoh import serialization as ser
 from gausscoh.channels import rotation_channel
+from test_equivalence import noisy_planted_pair
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -267,6 +268,18 @@ class TestExitCodes:
         assert doc["frozen"]
         assert "certificate" in doc
 
+    def test_frozen_contradiction_is_numeric_error(
+        self, coherent_file, rotation_file, monkeypatch
+    ):
+        def refuses(rho, sigma):
+            return gc.NotEquivalent(witness="search exhausted")
+
+        monkeypatch.setattr(equivalence, "decide_equivalence", refuses)
+        code, out, err = run_cli(["frozen", coherent_file, rotation_file])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "numeric-error"
+
     def test_frozen_attenuator_is_one(self, coherent_file, attenuator_file):
         code, out, _ = run_cli(["frozen", coherent_file, attenuator_file])
         assert code == 1
@@ -314,6 +327,17 @@ class TestToleranceControls:
         )
         monkeypatch.setenv("GAUSS_COHERENCE_TOL", "1e-5")
         assert run_cli(["--tol", "1e-12", "validate", str(path)])[0] == 2
+
+    def test_flag_moves_every_band_of_equiv(self, tmp_path):
+        # the image's 1e-5 noise moves its labels past the default band
+        rho, image, tol = noisy_planted_pair(3, 1e-5, 1e-3)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        ser.save_state(rho, a)
+        ser.save_state(image, b)
+        assert run_cli(["equiv", str(a), str(b)])[0] == 1
+        code, out, _ = run_cli(["--tol", repr(tol), "equiv", str(a), str(b)])
+        assert code == 0
+        assert json.loads(out)["residual"] <= tol
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-1e-5", "abc"])
     def test_bad_flag_is_input_error(self, tmp_path, raw):
