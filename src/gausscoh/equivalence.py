@@ -14,7 +14,9 @@ together. Every 2x2 block splits into a rotation part and a reflection part
 an angle, a difference or a sum of two angles in closed form, so no angle
 is scanned. A placed mode's mean and blocks to the modes placed before it
 are checked at once against the acceptance threshold; each complete
-assignment is accepted only on its full residual.
+assignment is accepted only on its full residual. When the labels leave
+every mode one target, :func:`_settle` skips those checks: one walk down
+the BFS tree gives every angle, and the full residual decides.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .core import (
     block_parts,
     default_tol,
     is_incoherent_state,
-    rotation,
     validate_state,
 )
 from .errors import NumericError, ShapeError
@@ -67,10 +68,18 @@ class IncoherentUnitary:
         return len(self.perm)
 
     def matrix(self) -> np.ndarray:
-        u = np.zeros((2 * self.modes, 2 * self.modes))
+        m = self.modes
+        # R(angles[i]) in rows 2 perm[i] + (0, 1) and columns 2 i + (0, 1),
+        # written through flat offsets in one assignment
+        at, values = [], []
         for i, (target, angle) in enumerate(zip(self.perm, self.angles)):
-            u[2 * target : 2 * target + 2, 2 * i : 2 * i + 2] = rotation(angle)
-        return u
+            c, s = math.cos(angle), math.sin(angle)
+            corner = 4 * m * target + 2 * i
+            at += (corner, corner + 1, corner + 2 * m, corner + 2 * m + 1)
+            values += (c, s, -s, c)
+        u = np.zeros(4 * m * m)
+        u[at] = values
+        return u.reshape(2 * m, 2 * m)
 
     def inverse(self) -> "IncoherentUnitary":
         perm_inv = [0] * self.modes
@@ -208,18 +217,22 @@ def _bands(rho: GaussianState, accept: float) -> tuple[float, float]:
 
 def _bfs_order(strong: list):
     """Modes in BFS order over ``strong`` edges, and each mode's BFS parent."""
+    m = len(strong)
     order, parent = [], {}
-    for root in range(len(strong)):
+    for root in range(m):
         if root in parent:
             continue
         parent[root] = None
         queue = [root]
         for i in queue:
-            order.append(i)
+            if len(parent) == m:
+                # every mode has a parent: the rest of the queue is the order
+                break
             for j, edge in enumerate(strong[i]):
                 if edge and j not in parent:
                     parent[j] = i
                     queue.append(j)
+        order += queue
     return order, parent
 
 
@@ -258,6 +271,129 @@ def _gap(term, w) -> float:
     return abs(x0 * w**power - y)
 
 
+def _tree_phase(parts, perm, u, i, j, k) -> tuple[complex, int]:
+    """Mode j's phase from its tree edge to its placed BFS parent i, j sent to k.
+
+    The edge's larger part decides: its rotation part gives u_j = u_i times a
+    phase, its reflection part u_j = conj(u_i) times a phase. The second value,
+    +-1, is the sign of u_j's power of a free w relative to u_i's.
+    """
+    (p_r, p_s), (q_r, q_s), _ = parts
+    if abs(p_r[i][j]) >= abs(q_r[i][j]):
+        return u[i] * _phase(p_r[i][j] * p_s[perm[i]][k].conjugate()), 1
+    return u[i].conjugate() * _phase(q_s[perm[i]][k] * q_r[i][j].conjugate()), -1
+
+
+def _terms(parts, perm, u, sgn, done, j, k) -> list:
+    """Mode j's mean, local block parts and cross parts to the modes ``done``,
+    with j sent to k, each as (x0, power of w, target)."""
+    (p_r, p_s), (q_r, q_s), (d_r, d_s) = parts
+    uj, sj = u[j], sgn[j]
+    terms = [
+        (d_r[j] * uj.conjugate(), -sj, d_s[k]),
+        (p_r[j][j], 0, p_s[k][k]),
+        (q_r[j][j] * uj * uj, 2 * sj, q_s[k][k]),
+    ]
+    for h in done:
+        x_h, s_h, k_h = u[h], sgn[h], perm[h]
+        terms.append((p_r[h][j] * x_h * uj.conjugate(), s_h - sj, p_s[k_h][k]))
+        terms.append((q_r[h][j] * x_h * uj, s_h + sj, q_s[k_h][k]))
+    return terms
+
+
+def _fits(terms, w, accept: float) -> bool:
+    """Whether :func:`_terms` at w keep within ``accept``: the mean alone, the
+    blocks by the share of the residual's Frobenius norm they make up."""
+    gaps = [_gap(term, w) for term in terms]
+    # a cross block appears twice in V, and ||block||^2 = 2 |P|^2 + 2 |Q|^2
+    cov_gap = 2.0 * (gaps[1] ** 2 + gaps[2] ** 2)
+    cov_gap += 4.0 * sum(g * g for g in gaps[3:])
+    return gaps[0] <= accept and cov_gap <= accept**2
+
+
+def _leaf(rho, sigma, accept: float, perm, u) -> tuple[float, Equivalent | None]:
+    """A complete assignment's residual, and the verdict it gives within ``accept``."""
+    angles = tuple(cmath.phase(z) for z in u)
+    res = _residual(rho, sigma, perm, angles)
+    if res > accept:
+        return res, None
+    certificate = IncoherentUnitary(perm=tuple(perm), angles=angles)
+    return res, Equivalent(certificate=certificate, residual=res)
+
+
+def _exhausted(best: float) -> NotEquivalent:
+    return NotEquivalent(
+        witness="search exhausted",
+        best_residual=None if math.isinf(best) else best,
+    )
+
+
+def _settle(rho, sigma, accept, anchor, parts, perm, order, parent):
+    """The verdict of :func:`_search` when the labels pin ``perm``, or None.
+
+    Each component root's mean or local reflection part, the larger, fixes
+    its w to one or two values; its cross parts to earlier components are
+    no tree edge, so below the anchor. Every other mode takes its phase from
+    its tree edge, as in the search, so the leaves are the choices of the
+    roots' w, and one residual decides each. The search's tests on the way
+    to a leaf bound its residual from below, so only a failing leaf needs
+    them, to count towards ``best_residual`` only if the search reaches it.
+    None when a root's part is not above ``anchor``, or when more than one
+    component keeps two values of w.
+    """
+    m = len(perm)
+    d_r, d_s = parts[2]
+    choices = []
+    for j in order:
+        if parent[j] is None:
+            sgn = [0] * m
+            sgn[j] = 1
+            terms = _terms(parts, perm, [1.0] * m, sgn, (), j, perm[j])
+            top = max(terms[0], terms[2], key=_size)
+            if _size(top) <= anchor:
+                return None
+            choices.append([w for w in _roots(top) if _fits(terms, w, accept)])
+    if sum(len(ws) > 1 for ws in choices) > 1:
+        return None
+
+    def walk(ws, full: bool):
+        """Every mode's phase, with the roots' w from ``ws``, in the search's
+        arithmetic. None once a mode fails the search's test on its mean, or
+        with ``full`` on any of its terms."""
+        zeros = [0] * m
+        u, ws = [1.0] * m, iter(ws)
+        for pos, j in enumerate(order):
+            i, k = parent[j], perm[j]
+            if i is None:
+                # ``choices`` holds only the w that pass the root's own tests
+                w, sgn = next(ws), [0] * m
+                u[j], sgn[j] = 1.0, 1
+            else:
+                w, sgn = None, zeros
+                u[j] = _tree_phase(parts, perm, u, i, j, k)[0]
+                # the mean's test of _fits, in its arithmetic: with w fixed,
+                # the mean term of _terms has power 0 and _gap is |x0 - y|
+                if not full and abs(d_r[j] * u[j].conjugate() - d_s[k]) > accept:
+                    return None
+            if full and not _fits(_terms(parts, perm, u, sgn, order[:pos], j, k), w, accept):
+                return None
+            if w is not None:
+                u = [z * w**s for z, s in zip(u, sgn)]
+        return u
+
+    best = math.inf
+    for ws in itertools.product(*choices):
+        u = walk(ws, False)
+        if u is None:
+            continue
+        res, found = _leaf(rho, sigma, accept, perm, u)
+        if found is not None:
+            return found
+        if walk(ws, True) is not None:
+            best = min(best, res)
+    return _exhausted(best)
+
+
 def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     """Backtracking search for a permutation and angles taking rho to sigma.
 
@@ -274,7 +410,8 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     A mode may go only to modes with its labels within the label band of
     :func:`_bands`; when that leaves a choice and a mean is nonzero, also with
     its holonomies within the holonomy band. A mode left without one:
-    "mode fingerprints".
+    "mode fingerprints". When every mode is left one, :func:`_settle`
+    decides without backtracking wherever it can.
     """
     m = rho.modes
     p, q = block_parts(np.stack([rho.cov, sigma.cov]))
@@ -295,8 +432,14 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     strong = (np.abs(p[0]) > anchor) | (np.abs(q[0]) > anchor)
     np.fill_diagonal(strong, False)
     order, parent = _bfs_order(strong.tolist())
+    parts = (p.tolist(), q.tolist(), d.tolist())
+    if np.count_nonzero(compatible) == m:
+        # the labels pin the permutation: no choice of target is left to search
+        pinned = compatible.argmax(axis=1).tolist()
+        settled = _settle(rho, sigma, accept, anchor, parts, pinned, order, parent)
+        if settled is not None:
+            return settled
     compatible = compatible.tolist()
-    (p_r, p_s), (q_r, q_s), (d_r, d_s) = p.tolist(), q.tolist(), d.tolist()
     perm = [-1] * m
     used = [False] * m
     best = math.inf
@@ -313,15 +456,9 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
                     return found
             return None
         if pos == m:
-            angles = [cmath.phase(z) for z in u]
-            res = _residual(rho, sigma, perm, angles)
+            res, found = _leaf(rho, sigma, accept, perm, u)
             best = min(best, res)
-            if res > accept:
-                return None
-            return Equivalent(
-                certificate=IncoherentUnitary(perm=tuple(perm), angles=tuple(angles)),
-                residual=res,
-            )
+            return found
         j = order[pos]
         i = parent[j]
         done = order[:pos]
@@ -333,37 +470,17 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
                 # a new component: the previous one's w is fixed by now
                 s_k = [0] * m
                 u_k[j], s_k[j] = 1.0, 1
-            elif abs(p_r[i][j]) >= abs(q_r[i][j]):
-                u_k[j] = u[i] * _phase(p_r[i][j] * p_s[perm[i]][k].conjugate())
-                s_k[j] = s_k[i]
             else:
-                u_k[j] = u[i].conjugate() * _phase(
-                    q_s[perm[i]][k] * q_r[i][j].conjugate()
-                )
-                s_k[j] = -s_k[i]
-            uj, sj = u_k[j], s_k[j]
-            # mode j's mean, local block parts and cross parts to the placed
-            # modes, each as (x0, power of w, target)
-            terms = [
-                (d_r[j] * uj.conjugate(), -sj, d_s[k]),
-                (p_r[j][j], 0, p_s[k][k]),
-                (q_r[j][j] * uj * uj, 2 * sj, q_s[k][k]),
-            ]
-            for h in done:
-                x_h, s_h, k_h = u_k[h], s_k[h], perm[h]
-                terms.append((p_r[h][j] * x_h * uj.conjugate(), s_h - sj, p_s[k_h][k]))
-                terms.append((q_r[h][j] * x_h * uj, s_h + sj, q_s[k_h][k]))
+                u_k[j], flip = _tree_phase(parts, perm, u, i, j, k)
+                s_k[j] = flip * s_k[i]
+            terms = _terms(parts, perm, u_k, s_k, done, j, k)
             top = max((term for term in terms if term[1]), key=_size, default=_NO_PART)
             if _size(top) > anchor:
                 ws, weak_k = _roots(top), _NO_PART
             else:
                 ws, weak_k = [None], max(weak, top, key=_size)
             for w in ws:
-                gaps = [_gap(term, w) for term in terms]
-                # a cross block appears twice in V, and ||block||^2 = 2 |P|^2 + 2 |Q|^2
-                cov_gap = 2.0 * (gaps[1] ** 2 + gaps[2] ** 2)
-                cov_gap += 4.0 * sum(g * g for g in gaps[3:])
-                if gaps[0] > accept or cov_gap > accept**2:
+                if not _fits(terms, w, accept):
                     continue
                 perm[j], used[k] = k, True
                 if w is None:
@@ -382,10 +499,7 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     del place
     if found is not None:
         return found
-    return NotEquivalent(
-        witness="search exhausted",
-        best_residual=None if math.isinf(best) else best,
-    )
+    return _exhausted(best)
 
 
 def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float]:

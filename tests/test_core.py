@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gausscoh as gc
-from gausscoh.core import block_norms, block_parts, isotropic_split
-from gausscoh.equivalence import rotation
+from gausscoh.core import block_norms, block_parts, isotropic_split, rotation
 from gausscoh.sampling import RandomStateRecipe, random_state, random_symplectic
 
 

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 import gausscoh as gc
 from gausscoh import equivalence
 from gausscoh.channels import rotation_channel
-from gausscoh.core import block_parts
-from gausscoh.equivalence import rotation
+from gausscoh.core import block_parts, rotation
 from gausscoh.sampling import (
     RandomStateRecipe,
     equivalent_pair,
@@ -59,6 +59,25 @@ class TestIncoherentUnitary:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             gc.IncoherentUnitary(perm=(0, 0), angles=(0.0, 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        perm_angles=st.integers(1, 16).flatmap(
+            lambda m: st.tuples(
+                st.permutations(range(m)),
+                st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m),
+            )
+        )
+    )
+    def test_matrix_matches_block_by_block(self, perm_angles):
+        perm, angles = perm_angles
+        m = len(perm)
+        want = np.zeros((2 * m, 2 * m))
+        for i, (target, angle) in enumerate(zip(perm, angles)):
+            want[2 * target : 2 * target + 2, 2 * i : 2 * i + 2] = rotation(angle)
+        got = gc.IncoherentUnitary(perm=tuple(perm), angles=tuple(angles)).matrix()
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestApplyIncoherentUnitary:
@@ -236,9 +255,63 @@ def _anchorless_state(m, kind, rng):
     return gc.validate_state(cov, np.zeros(2 * m))
 
 
+def _isotropic_path(m):
+    """a I plus distinct couplings c_i on the path edges (i, i+1), on every quadrature."""
+    couplings = 3.0 * np.eye(m)
+    for i in range(m - 1):
+        couplings[i, i + 1] = couplings[i + 1, i] = 0.2 + 0.05 * i
+    return np.kron(couplings, np.eye(2))
+
+
+def _bfs_full_scan(strong):
+    """The BFS of ``equivalence._bfs_order`` that scans the row of every queued mode."""
+    order, parent = [], {}
+    for root in range(len(strong)):
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for i in queue:
+            order.append(i)
+            for j, edge in enumerate(strong[i]):
+                if edge and j not in parent:
+                    parent[j] = i
+                    queue.append(j)
+    return order, parent
+
+
+def _generic_pair(m, seed, mean_scale, rotated=False, noise=0.0):
+    """A planted generic pair; ``rotated`` turns rho's largest mean by 1 rad
+    before the unitary (a negative), and ``noise`` is added to the image."""
+    rho, sigma, planted = equivalent_pair(RandomStateRecipe(m, seed=seed, mean_scale=mean_scale))
+    if rotated:
+        i = int(np.argmax(np.linalg.norm(rho.mean.reshape(m, 2), axis=1)))
+        mean = rho.mean.copy()
+        mean[2 * i : 2 * i + 2] = rotation(1.0) @ mean[2 * i : 2 * i + 2]
+        sigma = gc.apply_incoherent_unitary(planted, gc.validate_state(rho.cov, mean))
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=sigma.cov.shape)
+    image = gc.validate_state(
+        sigma.cov + noise * (e + e.T) / 2, sigma.mean + noise * rng.normal(size=2 * m)
+    )
+    return rho, image
+
+
+def _settle_spy(monkeypatch):
+    """Make ``equivalence._settle`` record what it returns, in a list."""
+    returned, real = [], equivalence._settle
+
+    def spy(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(equivalence, "_settle", spy)
+    return returned
+
+
 class TestSearch:
     """Inputs whose labels leave many targets, or whose angles no mean or
-    local anisotropy fixes."""
+    local anisotropy fixes, and the closed form for pinned permutations."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_isotropic_triangle_with_one_reflection(self, seed):
@@ -325,7 +398,7 @@ class TestSearch:
 
     def test_rotated_mean_exhausts_the_search(self):
         # a generic covariance pins the permutation, so the holonomies are
-        # not consulted and the search rejects the rotated mode itself
+        # not consulted and the rotated mode's own mean rejects the one leaf
         m = 6
         rho, _, planted = equivalent_pair(RandomStateRecipe(modes=m, seed=6))
         k = int(np.argmax(np.linalg.norm(rho.mean.reshape(m, 2), axis=1)))
@@ -356,6 +429,69 @@ class TestSearch:
         assert isinstance(verdict, gc.Equivalent)
         assert verdict.residual <= _accept(rho)
         assert calls == [(2, m)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
+    )
+    def test_bfs_order_matches_a_full_scan(self, m, seed, density):
+        upper = np.triu(np.random.default_rng(seed).random((m, m)) < density, 1)
+        strong = (upper | upper.T).tolist()
+        assert equivalence._bfs_order(strong) == _bfs_full_scan(strong)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        mean_scale=st.sampled_from([0.01, 1.0, 30.0, 300.0]),
+        # image noise, and tol relative to max(1, ||V_rho||_F) (None: default)
+        noise_rel=st.sampled_from([(0.0, None), (1e-9, 1e-6), (1e-7, None), (1e-5, 1e-3)]),
+        rotated=st.booleans(),
+    )
+    def test_settling_matches_the_search(self, m, seed, mean_scale, noise_rel, rotated):
+        noise, rel = noise_rel
+        rho, sigma = _generic_pair(m, seed, mean_scale, rotated, noise)
+        tol = None if rel is None else rel * max(1.0, float(np.linalg.norm(rho.cov)))
+        settled = gc.decide_equivalence(rho, sigma, tol=tol)
+        with mock.patch.object(equivalence, "_settle", lambda *args: None):
+            searched = gc.decide_equivalence(rho, sigma, tol=tol)
+        # verdict, certificate, residual and best residual, bit for bit
+        assert repr(settled) == repr(searched)
+
+    def test_settle_decides_generic_pairs_and_leaves_paths(self, monkeypatch):
+        returned = _settle_spy(monkeypatch)
+        planted = gc.decide_equivalence(*_generic_pair(6, 6, 1.0))
+        rotated = gc.decide_equivalence(*_generic_pair(6, 6, 1.0, rotated=True))
+        assert isinstance(planted, gc.Equivalent) and returned[0] == planted
+        assert rotated.witness == "search exhausted" and returned[1] == rotated
+        # distinct couplings pin the path, but no mean or local anisotropy fixes
+        # a root's angle: the search scans it
+        rho = gc.validate_state(_isotropic_path(8), np.zeros(16))
+        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(8, np.random.default_rng(8)), rho)
+        assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
+        assert returned[2:] == [None]
+
+    def test_cross_block_negative_reaches_no_leaf(self, monkeypatch):
+        # only the block between the images of modes 3 and 4 moves, by 1e-6; on
+        # a dense state the BFS tree is a star from mode 0, so that block is no
+        # tree edge and the search rejects it when it places mode 4
+        rho, sigma, planted = equivalent_pair(RandomStateRecipe(modes=5, seed=0))
+        a, b = planted.perm[3], planted.perm[4]
+        cov = sigma.cov.copy()
+        block = cov[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
+        block = rotation(1e-6 / np.linalg.norm(block)) @ block
+        cov[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = block
+        cov[2 * b : 2 * b + 2, 2 * a : 2 * a + 2] = block.T
+        other = gc.validate_state(cov, sigma.mean)
+        # past the spectrum stage, below the moved block
+        tol = 1.5 * float(np.max(np.abs(rho.spectrum - other.spectrum)))
+        assert tol < equivalence._residual(rho, other, planted.perm, planted.angles)
+        returned = _settle_spy(monkeypatch)
+        verdict = gc.decide_equivalence(rho, other, tol=tol)
+        assert verdict == gc.NotEquivalent(witness="search exhausted", best_residual=None)
+        assert returned == [verdict]
 
 
 def _moved(rho, r, rng):

@@ -5,8 +5,10 @@ perturbed by 0.05, 1e-6 and 1e-7, pairs whose first state has one mean
 rotated, and isotropic rings with planted or scrambled mean phases, over
 m = 1-16, squeezing 0.3-2.5 and mean scale 0.01-300. The golden file holds
 each verdict's kind and witness: the certificate's permutation and angles,
-the witness string of a negative, the mode of a hypothesis violation.
-Regenerate it with ``GAUSS_COHERENCE_REGEN=1 pytest tests/test_verdict_golden.py``
+the witness string of a negative, the mode of a hypothesis violation. A
+second golden file holds the ``best_residual`` of every negative, as its
+``repr`` (``None`` when the search reached no complete assignment).
+Regenerate both with ``GAUSS_COHERENCE_REGEN=1 pytest tests/test_verdict_golden.py``
 only when a change means to move a verdict.
 """
 
@@ -28,12 +30,15 @@ from gausscoh.sampling import (
 from test_equivalence import _isotropic_ring
 
 GOLDEN = Path(__file__).parent / "golden" / "verdicts.json"
+BEST_RESIDUALS = Path(__file__).parent / "golden" / "best_residuals.json"
 
 SCALES = (0.01, 1.0, 30.0, 300.0)
 SQUEEZES = (0.3, 0.8, 1.5, 2.5)
 FAMILIES = ("planted", "perturbed-0.05", "perturbed-1e-6", "perturbed-1e-7", "mean-rotated")
 # certificate angles are compared modulo 2 pi within this many radians
 ANGLE_TOL = 1e-7
+# best residuals are compared within this relative tolerance
+BEST_RESIDUAL_REL = 1e-6
 
 
 def _generic(k):
@@ -114,3 +119,25 @@ def test_verdicts_match_golden():
     assert list(got) == list(want)
     drifted = [label for label in got if not _same(got[label], want[label])]
     assert not drifted, f"{len(drifted)} verdicts drifted, first {drifted[:5]}"
+
+
+def _same_best(got: str, want: str) -> bool:
+    if "None" in (got, want):
+        return got == want
+    return math.isclose(float(got), float(want), rel_tol=BEST_RESIDUAL_REL)
+
+
+def test_best_residuals_match_golden():
+    # whether the search reached a complete assignment, and how close it came
+    verdicts = ((label, gc.decide_equivalence(*pair)) for label, pair in _pairs())
+    got = {
+        label: repr(verdict.best_residual)
+        for label, verdict in verdicts
+        if isinstance(verdict, gc.NotEquivalent)
+    }
+    if os.environ.get("GAUSS_COHERENCE_REGEN"):
+        BEST_RESIDUALS.write_text(json.dumps(got, indent=1) + "\n")
+    want = json.loads(BEST_RESIDUALS.read_text())
+    assert list(got) == list(want)
+    drifted = [label for label in got if not _same_best(got[label], want[label])]
+    assert not drifted, f"{len(drifted)} best residuals drifted, first {drifted[:5]}"
