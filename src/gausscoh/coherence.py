@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, default_tol
-from .errors import InvariantViolationError
+from .core import DEFAULT_TOL_REL, GaussianState
+from .errors import InvariantViolationError, NonFiniteError
 
 # below this occupation a mode is treated as exactly empty (0 log 0 = 0)
 _ZERO_OCCUPATION = 1e-300
@@ -46,7 +46,7 @@ class CoherenceReport:
 
 def mean_photon_numbers(state: GaussianState) -> list[float]:
     """Per-mode mean photon numbers n_i = [tr V^(i) + ||d^(i)||^2 - 2] / 4."""
-    t = default_tol(state.cov)
+    t = DEFAULT_TOL_REL * state.scale
     out = []
     for i in range(state.modes):
         block = state.mode_cov(i)
@@ -90,11 +90,15 @@ def relative_entropy_to_thermal(state: GaussianState, n_ref: list[float]) -> flo
 
     Serves as the minimization objective over thermal references; its
     minimum over ``n_ref`` equals :func:`relative_entropy_coherence`.
+    Every occupation must be finite (else :class:`NonFiniteError`) and
+    positive (else ``ValueError``).
     """
     if len(n_ref) != state.modes:
         raise ValueError(
             f"expected {state.modes} reference occupations, got {len(n_ref)}"
         )
+    if not all(math.isfinite(n) for n in n_ref):
+        raise NonFiniteError("thermal reference occupations must be finite")
     if any(n <= 0.0 for n in n_ref):
         raise ValueError("thermal reference occupations must be strictly positive")
     n_bar = mean_photon_numbers(state)

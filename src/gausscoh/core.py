@@ -30,7 +30,8 @@ def default_tol(cov: np.ndarray, tol: float | None = None) -> float:
     """Absolute tolerance for comparisons involving ``cov``.
 
     Scales as ``DEFAULT_TOL_REL * max(1, ||cov||_F)`` unless an explicit
-    override is given.
+    override is given; for a built state that is ``DEFAULT_TOL_REL *
+    state.scale``.
     """
     if tol is not None:
         return float(tol)
@@ -57,20 +58,24 @@ class GaussianState:
 
     Do not construct directly; use :func:`validate_state` (or the helpers
     in :mod:`gausscoh.zoo`), which symmetrizes and checks the uncertainty
-    relation. ``modes`` and the read-only symplectic ``spectrum`` are
-    derived from the covariance once, when the state is built.
+    relation. ``modes``, the read-only symplectic ``spectrum`` and
+    ``scale`` = max(1, ||V||_F), which every tolerance on the state is
+    relative to, are derived from the covariance once, when the state is
+    built.
     """
 
     cov: np.ndarray
     mean: np.ndarray
     modes: int = field(init=False)
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", self.cov.shape[0] // 2)
         self.cov.setflags(write=False)
         self.mean.setflags(write=False)
-        spectrum = _symplectic_spectrum(self.cov)
+        object.__setattr__(self, "scale", max(1.0, float(np.linalg.norm(self.cov))))
+        spectrum = _symplectic_spectrum(self.cov, self.scale)
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -134,11 +139,12 @@ def validate_state(
     return state
 
 
-def _symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
+def _symplectic_spectrum(cov: np.ndarray, scale: float) -> np.ndarray:
     """Symplectic eigenvalues of ``cov``, sorted ascending.
 
     The moduli of the purely imaginary, +-paired eigenvalues of Omega V; a
-    broken pairing raises :class:`NumericError` instead of silently sorting.
+    pairing broken by more than ``PAIRING_TOL * scale`` raises
+    :class:`NumericError` instead of silently sorting.
     """
     m = cov.shape[0] // 2
     # Omega V swaps each row pair and negates its second row; adding +0.0
@@ -150,7 +156,7 @@ def _symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
         eigs = np.linalg.eigvals(omega_cov)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"eigenvalue computation failed: {exc}") from exc
-    pairing_tol = PAIRING_TOL * max(1.0, float(np.linalg.norm(cov)))
+    pairing_tol = PAIRING_TOL * scale
     if np.max(np.abs(eigs.real)) > pairing_tol:
         raise NumericError(
             "eigenvalues of Omega V are not purely imaginary "
@@ -170,7 +176,7 @@ def williamson_spectrum(state: GaussianState) -> np.ndarray:
 
 def is_pure(state: GaussianState) -> bool:
     """True iff det V = 1 within :func:`default_tol` (the purity criterion)."""
-    return abs(np.linalg.det(state.cov) - 1.0) <= default_tol(state.cov)
+    return abs(np.linalg.det(state.cov) - 1.0) <= DEFAULT_TOL_REL * state.scale
 
 
 def block_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,6 +213,22 @@ def isotropic_split(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, block_norms(cov - np.diag(np.repeat(lam, 2)))
 
 
+def thermal_test(state: GaussianState) -> tuple[list[float] | None, np.ndarray | None]:
+    """:func:`is_incoherent_state`'s answer, and the block-norm table it took.
+
+    The table is :func:`isotropic_split`'s, so off the diagonal it holds the
+    norms of the cross blocks; a mean above tolerance answers first, and then
+    no table is taken (None).
+    """
+    t = DEFAULT_TOL_REL * state.scale
+    if np.linalg.norm(state.mean) > t:
+        return None, None
+    lam, rest = isotropic_split(state.cov)
+    if np.max(rest) > t:
+        return None, rest
+    return [max((x - 1.0) / 2.0, 0.0) for x in lam], rest
+
+
 def is_incoherent_state(state: GaussianState) -> list[float] | None:
     """Mean photon numbers [n_1, ..., n_m] if the state is incoherent.
 
@@ -214,10 +236,4 @@ def is_incoherent_state(state: GaussianState) -> list[float] | None:
     zero mean, no cross-mode correlations, and each mode block equal to
     (2 n_i + 1) I_2, within :func:`default_tol`. Returns ``None`` otherwise.
     """
-    t = default_tol(state.cov)
-    if np.linalg.norm(state.mean) > t:
-        return None
-    lam, rest = isotropic_split(state.cov)
-    if np.max(rest) > t:
-        return None
-    return [max((x - 1.0) / 2.0, 0.0) for x in lam]
+    return thermal_test(state)[0]

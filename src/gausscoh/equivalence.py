@@ -16,7 +16,9 @@ is scanned. A placed mode's mean and blocks to the modes placed before it
 are checked at once against the acceptance threshold; each complete
 assignment is accepted only on its full residual. When the labels leave
 every mode one target, :func:`_settle` skips those checks: one walk down
-the BFS tree gives every angle, and the full residual decides.
+the BFS tree gives every angle, fixing each component's free phase where
+the search would, or leaving it where no part moves with it (the exact
+gauge of a zero-mean isotropic state), and the full residual decides.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ import numpy as np
 
 from .coherence import relative_entropy_coherence
 from .core import (
+    DEFAULT_TOL_REL,
     GaussianState,
     block_norms,
     block_parts,
-    default_tol,
-    is_incoherent_state,
+    thermal_test,
     validate_state,
 )
 from .errors import NumericError, ShapeError
@@ -135,17 +137,28 @@ def check_hypothesis(state: GaussianState) -> HypothesisViolated | None:
     Multimode: every mode must have at least one nonzero off-diagonal
     covariance block. One mode: the state must be coherent (nonzero mean or
     anisotropic covariance). "Nonzero" means above the state's
-    :func:`default_tol`. Returns the first violation, or None.
+    :func:`gausscoh.core.default_tol`. Returns the first violation, or None.
     """
+    # a multimode state needs only its cross-block norms, not the incoherence test
+    return _hypothesis(state, thermal_test(state) if state.modes == 1 else (None, None))
+
+
+def _hypothesis(state: GaussianState, thermal) -> HypothesisViolated | None:
+    """:func:`check_hypothesis` from the state's :func:`gausscoh.core.thermal_test`,
+    whose block-norm table, if it took one, it overwrites. A multimode state
+    without a table takes :func:`gausscoh.core.block_norms`."""
+    occupations, norms = thermal
     if state.modes == 1:
-        if is_incoherent_state(state) is None:
+        if occupations is None:
             return None
         return HypothesisViolated(
             mode=0, reason="one-mode state is incoherent (d = 0 and V is isotropic)"
         )
-    norms = block_norms(state.cov)
+    if norms is None:
+        norms = block_norms(state.cov)
+    # off the diagonal, both tables hold the cross blocks' norms
     np.fill_diagonal(norms, 0.0)
-    lonely = np.flatnonzero(norms.max(axis=1) <= default_tol(state.cov))
+    lonely = np.flatnonzero(norms.max(axis=1) <= DEFAULT_TOL_REL * state.scale)
     if lonely.size:
         i = int(lonely[0])
         return HypothesisViolated(
@@ -169,20 +182,21 @@ def _residual(
     )
 
 
-def _labels(p, q, d) -> np.ndarray:
+def _labels(p, abs_p, abs_q, d) -> np.ndarray:
     """Per-mode labels that no incoherent unitary changes, one row per mode.
 
     The local block's (p, q), |d_i|, and the sorted p and the sorted q of the
-    mode's cross blocks (zero blocks included, so their count is matched).
+    mode's cross blocks (zero blocks included, so their count is matched);
+    ``abs_p`` and ``abs_q`` are |P| and |Q|.
     """
     cross = 1.0 - np.eye(d.shape[-1])
     return np.concatenate(
         [
             p.diagonal(axis1=-2, axis2=-1).real[..., None],
-            np.abs(q.diagonal(axis1=-2, axis2=-1))[..., None],
+            abs_q.diagonal(axis1=-2, axis2=-1)[..., None],
             np.abs(d)[..., None],
-            np.sort(np.abs(p) * cross, axis=-1),
-            np.sort(np.abs(q) * cross, axis=-1),
+            np.sort(abs_p * cross, axis=-1),
+            np.sort(abs_q * cross, axis=-1),
         ],
         axis=-1,
     )
@@ -209,7 +223,7 @@ def _bands(rho: GaussianState, accept: float) -> tuple[float, float]:
     ``accept`` stays inside the label band. The holonomy band is three times
     how far a holonomy moves when V and d move by the label band.
     """
-    norm_v = max(1.0, float(np.linalg.norm(rho.cov)))
+    norm_v = rho.scale
     norm_d = max(1.0, float(np.linalg.norm(rho.mean)))
     band = max(accept, 1e-6 * norm_v)
     return band, 3.0 * band * (norm_d + band) * (2.0 * norm_v + norm_d + band)
@@ -247,6 +261,11 @@ _NO_PART = (0.0, 0, 0.0)
 
 def _size(term) -> float:
     return abs(term[0])
+
+
+def _top(terms):
+    """The largest of ``terms`` with a power of w, the first of equal sizes."""
+    return max((term for term in terms if term[1]), key=_size, default=_NO_PART)
 
 
 def _roots(term) -> list:
@@ -331,66 +350,86 @@ def _exhausted(best: float) -> NotEquivalent:
 def _settle(rho, sigma, accept, anchor, parts, perm, order, parent):
     """The verdict of :func:`_search` when the labels pin ``perm``, or None.
 
-    Each component root's mean or local reflection part, the larger, fixes
-    its w to one or two values; its cross parts to earlier components are
-    no tree edge, so below the anchor. Every other mode takes its phase from
-    its tree edge, as in the search, so the leaves are the choices of the
-    roots' w, and one residual decides each. The search's tests on the way
-    to a leaf bound its residual from below, so only a failing leaf needs
-    them, to count towards ``best_residual`` only if the search reaches it.
-    None when a root's part is not above ``anchor``, or when more than one
-    component keeps two values of w.
+    One walk down the BFS tree gives every mode its phase from its tree edge,
+    as in the search, and fixes each component's w where the search does: at
+    the first mode with a part on w above the anchor, to those of its roots
+    that pass that mode's tests; else from the component's strongest weak
+    part once it is complete; else not at all, an exact gauge. While w is
+    free only nonzero parts are looked at, as a zero part fixes nothing. So
+    the leaves are the choices of w, and one residual decides each. The
+    search's tests on the way to a leaf bound its residual from below, so
+    only a failing leaf needs them, to count towards ``best_residual`` only
+    if the search reaches it. None when more than one component keeps two
+    values of w.
     """
     m = len(perm)
-    d_r, d_s = parts[2]
-    choices = []
-    for j in order:
-        if parent[j] is None:
-            sgn = [0] * m
-            sgn[j] = 1
-            terms = _terms(parts, perm, [1.0] * m, sgn, (), j, perm[j])
-            top = max(terms[0], terms[2], key=_size)
-            if _size(top) <= anchor:
-                return None
-            choices.append([w for w in _roots(top) if _fits(terms, w, accept)])
-    if sum(len(ws) > 1 for ws in choices) > 1:
-        return None
+    (p_r, _), (q_r, _), (d_r, d_s) = parts
 
-    def walk(ws, full: bool):
-        """Every mode's phase, with the roots' w from ``ws``, in the search's
-        arithmetic. None once a mode fails the search's test on its mean, or
-        with ``full`` on any of its terms."""
-        zeros = [0] * m
-        u, ws = [1.0] * m, iter(ws)
+    def walk(second: bool, full: bool):
+        """Every mode's phase, in the search's arithmetic, and how many
+        components kept two values of w, with the second value taken when
+        ``second``. The phases are None once a mode fails the search's test
+        on its mean, or with ``full`` any of its tests, or a component's w
+        keeps no value; the walk ends at the second component with two."""
+        u, sgn, weak, forks = [1.0] * m, [0] * m, _NO_PART, 0
         for pos, j in enumerate(order):
             i, k = parent[j], perm[j]
             if i is None:
-                # ``choices`` holds only the w that pass the root's own tests
-                w, sgn = next(ws), [0] * m
+                sgn = [0] * m
                 u[j], sgn[j] = 1.0, 1
             else:
-                w, sgn = None, zeros
-                u[j] = _tree_phase(parts, perm, u, i, j, k)[0]
+                u[j], flip = _tree_phase(parts, perm, u, i, j, k)
+                sgn[j] = flip * sgn[i]
+            ws = [None]
+            if sgn[j]:
+                # while w is free, only a nonzero part with a power of w can
+                # fix w or be the weak part: a zero part never changes either
+                s_j = sgn[j]
+                moving = [
+                    h for h in order[:pos]
+                    if (p_r[h][j] and sgn[h] != s_j) or (q_r[h][j] and sgn[h] != -s_j)
+                ]
+                top = _NO_PART
+                if moving or d_r[j] or q_r[j][j]:
+                    top = _top(_terms(parts, perm, u, sgn, moving, j, k))
+                if _size(top) > anchor:
+                    ws = _roots(top)
+                elif _size(top) > _size(weak):
+                    weak = top
+            elif not full and abs(d_r[j] * u[j].conjugate() - d_s[k]) > accept:
                 # the mean's test of _fits, in its arithmetic: with w fixed,
                 # the mean term of _terms has power 0 and _gap is |x0 - y|
-                if not full and abs(d_r[j] * u[j].conjugate() - d_s[k]) > accept:
-                    return None
-            if full and not _fits(_terms(parts, perm, u, sgn, order[:pos], j, k), w, accept):
-                return None
-            if w is not None:
-                u = [z * w**s for z, s in zip(u, sgn)]
-        return u
+                return None, forks
+            if full or ws[0] is not None:
+                terms = _terms(parts, perm, u, sgn, order[:pos], j, k)
+                ws = [w for w in ws if _fits(terms, w, accept)]
+                if not ws:
+                    return None, forks
+            if ws[0] is None and sgn[j] and _size(weak) > 0.0:
+                if pos + 1 == m or parent[order[pos + 1]] is None:
+                    # the component ends with w free: its strongest weak part fixes w
+                    ws = _roots(weak)
+            if ws[0] is not None:
+                forks += len(ws) > 1
+                if forks > 1:
+                    return None, forks
+                w = ws[-1] if second else ws[0]
+                u, sgn, weak = [z * w**s for z, s in zip(u, sgn)], [0] * m, _NO_PART
+        return u, forks
 
     best = math.inf
-    for ws in itertools.product(*choices):
-        u = walk(ws, False)
-        if u is None:
-            continue
-        res, found = _leaf(rho, sigma, accept, perm, u)
-        if found is not None:
-            return found
-        if walk(ws, True) is not None:
-            best = min(best, res)
+    for second in (False, True):
+        u, forks = walk(second, False)
+        if forks > 1:
+            return None
+        if u is not None:
+            res, found = _leaf(rho, sigma, accept, perm, u)
+            if found is not None:
+                return found
+            if walk(second, True)[0] is not None:
+                best = min(best, res)
+        if not forks:
+            break
     return _exhausted(best)
 
 
@@ -418,7 +457,8 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     # each mode's mean (x, p) as the complex number x + i p
     d = np.stack([rho.mean, sigma.mean]).view(complex)
     band, h_band = _bands(rho, accept)
-    lab_r, lab_s = _labels(p, q, d)
+    abs_p, abs_q = np.abs(p), np.abs(q)
+    lab_r, lab_s = _labels(p, abs_p, abs_q, d)
     compatible = np.all(np.abs(lab_r[:, None] - lab_s[None, :]) <= band, axis=2)
     # refine only a choice the moduli leave; with zero means every holonomy is 0
     if np.count_nonzero(compatible) > m and d.any():
@@ -429,7 +469,7 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
 
     # parts below this scale give unreliable angles for the other blocks
     anchor = max(10.0 * accept, 1e-6)
-    strong = (np.abs(p[0]) > anchor) | (np.abs(q[0]) > anchor)
+    strong = (abs_p[0] > anchor) | (abs_q[0] > anchor)
     np.fill_diagonal(strong, False)
     order, parent = _bfs_order(strong.tolist())
     parts = (p.tolist(), q.tolist(), d.tolist())
@@ -474,7 +514,7 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
                 u_k[j], flip = _tree_phase(parts, perm, u, i, j, k)
                 s_k[j] = flip * s_k[i]
             terms = _terms(parts, perm, u_k, s_k, done, j, k)
-            top = max((term for term in terms if term[1]), key=_size, default=_NO_PART)
+            top = _top(terms)
             if _size(top) > anchor:
                 ws, weak_k = _roots(top), _NO_PART
             else:
@@ -502,22 +542,22 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     return _exhausted(best)
 
 
-def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float]:
-    """The incoherence verdict both deciders start with, or None, and ``accept``.
+def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float, list]:
+    """The incoherence verdict both deciders start with, or None, ``accept``,
+    and each state's :func:`gausscoh.core.thermal_test`.
 
-    ``accept`` is ``tol``, or ``RESIDUAL_TOL_REL * max(1, ||V_rho||_F)``.
+    ``accept`` is ``tol``, or ``RESIDUAL_TOL_REL * rho.scale``.
     """
     if rho.modes != sigma.modes:
         raise ShapeError(f"mode mismatch: {rho.modes} vs {sigma.modes}")
-    accept = tol
-    if accept is None:
-        accept = RESIDUAL_TOL_REL * max(1.0, float(np.linalg.norm(rho.cov)))
-    inc_r, inc_s = (is_incoherent_state(state) is not None for state in (rho, sigma))
+    accept = RESIDUAL_TOL_REL * rho.scale if tol is None else tol
+    thermal = [thermal_test(state) for state in (rho, sigma)]
+    inc_r, inc_s = (occupations is not None for occupations, _ in thermal)
     if inc_r and inc_s:
-        return AllIncoherent(), accept
+        return AllIncoherent(), accept, thermal
     if inc_r != inc_s:
-        return NotEquivalent(witness="coherence mismatch"), accept
-    return None, accept
+        return NotEquivalent(witness="coherence mismatch"), accept, thermal
+    return None, accept, thermal
 
 
 def decide_equivalence(
@@ -531,15 +571,15 @@ def decide_equivalence(
     coherent multimode state falls outside the theorem's hypothesis. ``tol``
     is the acceptance threshold, and every stage derives its band from it.
     """
-    early, accept = _prechecks(rho, sigma, tol)
+    early, accept, thermal = _prechecks(rho, sigma, tol)
     if early is not None:
         return early
-    # both states are coherent here, which is all one mode needs
-    for violation in map(check_hypothesis, (rho, sigma)):
+    # stage 2 reads the block norms stage 1 took
+    for violation in map(_hypothesis, (rho, sigma), thermal):
         if violation is not None:
             return violation
     # never below the rounding floor of the eigen-solve behind the spectra
-    if np.max(np.abs(rho.spectrum - sigma.spectrum)) > max(accept, default_tol(rho.cov)):
+    if np.max(np.abs(rho.spectrum - sigma.spectrum)) > max(accept, DEFAULT_TOL_REL * rho.scale):
         return NotEquivalent(witness="symplectic spectrum")
     return _search(rho, sigma, accept)
 
@@ -659,7 +699,7 @@ def brute_force_equivalence(
     ``NotEquivalent(witness="search exhausted")``. Either way,
     ``best_residual`` is the smallest residual the search evaluated.
     """
-    early, accept = _prechecks(rho, sigma, tol)
+    early, accept, _ = _prechecks(rho, sigma, tol)
     m = rho.modes
     if m > 3:
         raise ValueError("brute-force oracle supports at most 3 modes")

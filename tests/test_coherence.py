@@ -112,6 +112,14 @@ class TestRelativeEntropyToThermal:
         with pytest.raises(ValueError):
             gc.relative_entropy_to_thermal(gc.coherent(1.0), [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_reference(self, bad):
+        # a NaN passes "n <= 0" and an infinite occupation gives inf - inf
+        with pytest.raises(gc.NonFiniteError):
+            gc.relative_entropy_to_thermal(gc.coherent(1.0), [bad])
+        with pytest.raises(gc.NonFiniteError):
+            gc.relative_entropy_to_thermal(gc.thermal([0.5, 1.0]), [1.0, bad])
+
 
 class TestGridOracle:
     @pytest.mark.parametrize("seed", range(15))

@@ -155,6 +155,23 @@ class TestStoredSpectrum:
         with pytest.raises(ValueError):
             state.spectrum[0] = 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        mean_scale=st.sampled_from([0.0, 1.0, 300.0]),
+        shrink=st.sampled_from([1.0, 1e-3]),
+    )
+    def test_scale_is_the_frobenius_norm_at_least_one(self, m, seed, mean_scale, shrink):
+        state = random_state(RandomStateRecipe(modes=m, seed=seed, mean_scale=mean_scale))
+        # shrunk below norm 1 without validation, where max(1, .) decides
+        state = gc.GaussianState(cov=shrink * state.cov, mean=state.mean.copy())
+        assert state.scale == max(1.0, np.linalg.norm(state.cov))
+        with pytest.raises(AttributeError):
+            state.scale = 2.0
+        with pytest.raises(TypeError):
+            gc.GaussianState(cov=state.cov, mean=state.mean, scale=state.scale)
+
     def test_derived_fields_are_not_arguments(self):
         with pytest.raises(TypeError):
             gc.GaussianState(cov=np.eye(2), mean=np.zeros(2), modes=1)

@@ -263,6 +263,33 @@ def _isotropic_path(m):
     return np.kron(couplings, np.eye(2))
 
 
+def _zero_mean_state(m, shape, kind, weak_mean, rng):
+    """An isotropic state with cross blocks on a path, a ring or two paths.
+
+    ``kind`` "rotation" gives blocks c I (np.kron(c, I_2) on the couplings),
+    "mixed" c I or c Z at random, so that a ring with an odd number of
+    reflections fixes its w, "general" random 2x2 blocks; ``weak_mean`` is
+    put on mode 0's x.
+    """
+    cov = np.kron(np.diag(rng.uniform(2.5, 3.5, size=m)), np.eye(2))
+    edges = [(i, i + 1) for i in range(m - 1)]
+    if shape == "ring" and m > 2:
+        edges.append((m - 1, 0))
+    if shape == "two paths" and m > 3:
+        edges.remove((m // 2 - 1, m // 2))
+    for i, j in edges:
+        if kind != "general":
+            flip = kind == "mixed" and rng.random() < 0.5
+            block = rng.uniform(0.2, 0.5) * np.diag([1.0, -1.0 if flip else 1.0])
+        else:
+            block = rng.normal(0.0, 0.25, size=(2, 2))
+        cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
+        cov[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = block.T
+    mean = np.zeros(2 * m)
+    mean[0] = weak_mean
+    return gc.validate_state(cov, mean)
+
+
 def _bfs_full_scan(strong):
     """The BFS of ``equivalence._bfs_order`` that scans the row of every queued mode."""
     order, parent = [], {}
@@ -460,18 +487,74 @@ class TestSearch:
         # verdict, certificate, residual and best residual, bit for bit
         assert repr(settled) == repr(searched)
 
-    def test_settle_decides_generic_pairs_and_leaves_paths(self, monkeypatch):
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["path", "ring", "two paths"]),
+        kind=st.sampled_from(["rotation", "mixed", "general"]),
+        weak_mean=st.booleans(),
+        noise_rel=st.sampled_from([(0.0, None), (1e-9, 1e-6), (1e-7, None), (1e-5, 1e-3)]),
+        planted=st.booleans(),
+    )
+    def test_settling_matches_the_search_without_a_mean(
+        self, m, seed, shape, kind, weak_mean, noise_rel, planted
+    ):
+        # zero-mean isotropic states: no root has a part above the anchor, so
+        # w is fixed mid-walk by a reflection part, by the weak mean, or never
+        noise, rel = noise_rel
+        rng = np.random.default_rng(seed)
+        rho = _zero_mean_state(m, shape, kind, 3e-7 if weak_mean else 0.0, rng)
+        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(m, rng), rho)
+        e = rng.normal(size=sigma.cov.shape)
+        image = sigma.cov + noise * (e + e.T) / 2
+        if not planted:
+            image[0:2, 2:4] += rng.normal(0.0, 1e-6, size=(2, 2))
+            image[2:4, 0:2] = image[0:2, 2:4].T
+        sigma = gc.validate_state(image, sigma.mean)
+        tol = None if rel is None else rel * rho.scale
+        settled = gc.decide_equivalence(rho, sigma, tol=tol)
+        with mock.patch.object(equivalence, "_settle", lambda *args: None):
+            searched = gc.decide_equivalence(rho, sigma, tol=tol)
+        assert repr(settled) == repr(searched)
+
+    def test_settle_decides_generic_pairs_and_zero_mean_paths(self, monkeypatch):
         returned = _settle_spy(monkeypatch)
         planted = gc.decide_equivalence(*_generic_pair(6, 6, 1.0))
         rotated = gc.decide_equivalence(*_generic_pair(6, 6, 1.0, rotated=True))
         assert isinstance(planted, gc.Equivalent) and returned[0] == planted
         assert rotated.witness == "search exhausted" and returned[1] == rotated
-        # distinct couplings pin the path, but no mean or local anisotropy fixes
-        # a root's angle: the search scans it
+        # distinct couplings pin the path, and no part fixes w: an exact gauge,
+        # so w stays 1 and one residual decides
         rho = gc.validate_state(_isotropic_path(8), np.zeros(16))
         sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(8, np.random.default_rng(8)), rho)
+        path = gc.decide_equivalence(rho, sigma)
+        assert isinstance(path, gc.Equivalent) and returned[2] == path
+        # two components, each with a squeezed mode whose reflection part keeps
+        # two values of w: the search takes the pair
+        cov = _isotropic_path(6)
+        cov[6:8, 4:6] = cov[4:6, 6:8] = 0.0
+        cov[0:2, 0:2] = np.diag([3.2, 2.8])
+        cov[6:8, 6:8] = np.diag([3.3, 2.7])
+        rho = gc.validate_state(cov, np.zeros(12))
+        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(6, np.random.default_rng(6)), rho)
         assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
-        assert returned[2:] == [None]
+        assert returned[3:] == [None]
+
+    def test_a_settled_pair_takes_one_matrix_norm(self, monkeypatch):
+        # every tolerance reads state.scale: only the leaf residual's ||.||_F is left
+        rho, sigma = _generic_pair(6, 6, 1.0)
+        ndims, real = [], np.linalg.norm
+
+        def spy(x, *args, **kwargs):
+            ndims.append(np.ndim(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        returned = _settle_spy(monkeypatch)
+        assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
+        assert returned[0] is not None
+        assert ndims.count(2) == 1
 
     def test_cross_block_negative_reaches_no_leaf(self, monkeypatch):
         # only the block between the images of modes 3 and 4 moves, by 1e-6; on
@@ -572,7 +655,7 @@ class TestToleranceContract:
         cov, mean = _moved(rho, r, np.random.default_rng(seed))
         p, q = block_parts(np.stack([rho.cov, cov]))
         d = np.stack([rho.mean, mean]).view(complex)
-        lab_r, lab_moved = equivalence._labels(p, q, d)
+        lab_r, lab_moved = equivalence._labels(p, np.abs(p), np.abs(q), d)
         rounding = 1e-13 * max(1.0, np.linalg.norm(rho.cov), np.linalg.norm(rho.mean))
         assert np.all(np.abs(lab_moved - lab_r) <= r + rounding)
 
