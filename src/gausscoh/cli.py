@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -19,6 +18,7 @@ import numpy as np
 from . import serialization as ser
 from .channels import apply_channel, classify_incoherent, petz_recovery
 from .coherence import relative_entropy_coherence
+from .core import checked_tol
 from .equivalence import (
     AllIncoherent,
     Equivalent,
@@ -47,12 +47,7 @@ EXIT_NUMERIC = 3
 def _tolerance(flag: str | None) -> float | None:
     """The ``--tol`` flag, else ``GAUSS_COHERENCE_TOL``; finite and >= 0."""
     raw = flag if flag is not None else os.environ.get("GAUSS_COHERENCE_TOL")
-    if not raw:
-        return None
-    tol = float(raw)
-    if not math.isfinite(tol) or tol < 0.0:
-        raise ValueError(f"tolerance must be finite and >= 0, got {raw!r}")
-    return tol
+    return checked_tol(raw) if raw else None
 
 
 def _parse_floats(raw: str) -> list[float]:

@@ -26,15 +26,27 @@ DEFAULT_TOL_REL = 1e-9
 PAIRING_TOL = 1e-8
 
 
+def checked_tol(raw) -> float:
+    """``raw`` as a float tolerance; :class:`ValueError` unless finite and >= 0.
+
+    A NaN would make every comparison against it false, so that a check
+    would pass unseen; a negative one fails even exact equality.
+    """
+    tol = float(raw)
+    if not math.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {raw!r}")
+    return tol
+
+
 def default_tol(cov: np.ndarray, tol: float | None = None) -> float:
     """Absolute tolerance for comparisons involving ``cov``.
 
     Scales as ``DEFAULT_TOL_REL * max(1, ||cov||_F)`` unless an explicit
-    override is given; for a built state that is ``DEFAULT_TOL_REL *
-    state.scale``.
+    override is given, which :func:`checked_tol` checks; for a built state
+    that is ``DEFAULT_TOL_REL * state.scale``.
     """
     if tol is not None:
-        return float(tol)
+        return checked_tol(tol)
     return DEFAULT_TOL_REL * max(1.0, float(np.linalg.norm(cov)))
 
 

@@ -6,7 +6,8 @@ composed with per-mode SO(2) rotations. :func:`decide_equivalence` searches
 that group directly and emits the unitary as a verifiable certificate.
 
 After the cheap checks (incoherence, the theorem's hypothesis, the
-symplectic spectrum, per-mode labels refined by the mean holonomies of
+symplectic spectrum, the mean's quadratic invariant of
+:func:`_mean_quadratic`, per-mode labels refined by the mean holonomies of
 :func:`_holonomies`), one backtracking search walks the modes of rho in BFS
 order over its cross blocks and gives each a target mode and an angle
 together. Every 2x2 block splits into a rotation part and a reflection part
@@ -36,6 +37,7 @@ from .core import (
     GaussianState,
     block_norms,
     block_parts,
+    checked_tol,
     thermal_test,
     validate_state,
 )
@@ -157,10 +159,10 @@ def _hypothesis(state: GaussianState, thermal) -> HypothesisViolated | None:
     if norms is None:
         norms = block_norms(state.cov)
     # off the diagonal, both tables hold the cross blocks' norms
-    np.fill_diagonal(norms, 0.0)
-    lonely = np.flatnonzero(norms.max(axis=1) <= DEFAULT_TOL_REL * state.scale)
-    if lonely.size:
-        i = int(lonely[0])
+    norms.flat[:: state.modes + 1] = 0.0
+    lonely = norms.max(axis=1) <= DEFAULT_TOL_REL * state.scale
+    i = int(lonely.argmax())
+    if lonely[i]:
         return HypothesisViolated(
             mode=i, reason=f"mode {i} has no nonzero off-diagonal block"
         )
@@ -172,10 +174,8 @@ def _hypothesis(state: GaussianState, thermal) -> HypothesisViolated | None:
 # ---------------------------------------------------------------------------
 
 
-def _residual(
-    rho: GaussianState, sigma: GaussianState, perm, angles
-) -> float:
-    u = IncoherentUnitary(perm=tuple(perm), angles=tuple(angles)).matrix()
+def _residual(rho: GaussianState, sigma: GaussianState, unitary: IncoherentUnitary) -> float:
+    u = unitary.matrix()
     return max(
         float(np.linalg.norm(u @ rho.cov @ u.T - sigma.cov)),
         float(np.linalg.norm(u @ rho.mean - sigma.mean)),
@@ -216,12 +216,23 @@ def _holonomies(p, q, d) -> np.ndarray:
     return np.concatenate([h.real, h.imag], axis=-1)
 
 
+def _mean_quadratic(state: GaussianState) -> float:
+    """x^t V x for the state's mean x, the sum over modes of x_i^t (V x)_i.
+
+    Every incoherent unitary U is orthogonal, so (U x)^t (U V U^t)(U x) =
+    x^t V x, while the per-mode terms move with the permutation.
+    """
+    return float(state.cov.dot(state.mean).dot(state.mean))
+
+
 def _bands(rho: GaussianState, accept: float) -> tuple[float, float]:
     """The label band, at least ``accept``, and the holonomy band it implies.
 
     Moving V and d by r moves no label by more than r, so a unitary within
     ``accept`` stays inside the label band. The holonomy band is three times
-    how far a holonomy moves when V and d move by the label band.
+    how far a holonomy, or :func:`_mean_quadratic`, moves when V and d move
+    by the label band: with N = max(1, ||V||_F) and D = max(1, ||d||), x^t V x
+    moves by at most r (2 N D + N r + (D + r)^2).
     """
     norm_v = rho.scale
     norm_d = max(1.0, float(np.linalg.norm(rho.mean)))
@@ -332,11 +343,10 @@ def _fits(terms, w, accept: float) -> bool:
 
 def _leaf(rho, sigma, accept: float, perm, u) -> tuple[float, Equivalent | None]:
     """A complete assignment's residual, and the verdict it gives within ``accept``."""
-    angles = tuple(cmath.phase(z) for z in u)
-    res = _residual(rho, sigma, perm, angles)
+    certificate = IncoherentUnitary(perm=tuple(perm), angles=tuple(cmath.phase(z) for z in u))
+    res = _residual(rho, sigma, certificate)
     if res > accept:
         return res, None
-    certificate = IncoherentUnitary(perm=tuple(perm), angles=angles)
     return res, Equivalent(certificate=certificate, residual=res)
 
 
@@ -446,24 +456,34 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     once complete, and keeps w = 1 when no part involves w: that is an
     exact gauge freedom.
 
-    A mode may go only to modes with its labels within the label band of
-    :func:`_bands`; when that leaves a choice and a mean is nonzero, also with
-    its holonomies within the holonomy band. A mode left without one:
-    "mode fingerprints". When every mode is left one, :func:`_settle`
-    decides without backtracking wherever it can.
+    When some mean is nonzero, x^t V x of :func:`_mean_quadratic` comes
+    first: two values further apart than the holonomy band of :func:`_bands`
+    give "mode fingerprints" before any label is taken, as the per-mode
+    terms x_i^t (V x)_i, whose sums differ, cannot be matched. A mode may go
+    only to modes with its labels within the label band; when that leaves a
+    choice and a mean is nonzero, also with its holonomies within the
+    holonomy band. A mode left without one: "mode fingerprints". When every
+    mode is left one, :func:`_settle` decides without backtracking wherever
+    it can.
     """
     m = rho.modes
-    p, q = block_parts(np.stack([rho.cov, sigma.cov]))
     # each mode's mean (x, p) as the complex number x + i p
-    d = np.stack([rho.mean, sigma.mean]).view(complex)
+    d = np.array([rho.mean, sigma.mean]).view(complex)
+    displaced = d.any()
     band, h_band = _bands(rho, accept)
+    # no incoherent unitary moves x^t V x, and no label is needed to see it
+    if displaced and abs(_mean_quadratic(rho) - _mean_quadratic(sigma)) > h_band:
+        return NotEquivalent(witness="mode fingerprints")
+    p, q = block_parts(np.array([rho.cov, sigma.cov]))
     abs_p, abs_q = np.abs(p), np.abs(q)
     lab_r, lab_s = _labels(p, abs_p, abs_q, d)
     compatible = np.all(np.abs(lab_r[:, None] - lab_s[None, :]) <= band, axis=2)
+    pairs = np.count_nonzero(compatible)
     # refine only a choice the moduli leave; with zero means every holonomy is 0
-    if np.count_nonzero(compatible) > m and d.any():
+    if pairs > m and displaced:
         hol_r, hol_s = _holonomies(p, q, d)
         compatible &= np.all(np.abs(hol_r[:, None] - hol_s[None, :]) <= h_band, axis=2)
+        pairs = np.count_nonzero(compatible)
     if not (compatible.any(axis=0).all() and compatible.any(axis=1).all()):
         return NotEquivalent(witness="mode fingerprints")
 
@@ -473,7 +493,7 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     np.fill_diagonal(strong, False)
     order, parent = _bfs_order(strong.tolist())
     parts = (p.tolist(), q.tolist(), d.tolist())
-    if np.count_nonzero(compatible) == m:
+    if pairs == m:
         # the labels pin the permutation: no choice of target is left to search
         pinned = compatible.argmax(axis=1).tolist()
         settled = _settle(rho, sigma, accept, anchor, parts, pinned, order, parent)
@@ -546,11 +566,12 @@ def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float, list]
     """The incoherence verdict both deciders start with, or None, ``accept``,
     and each state's :func:`gausscoh.core.thermal_test`.
 
-    ``accept`` is ``tol``, or ``RESIDUAL_TOL_REL * rho.scale``.
+    ``accept`` is ``tol``, which :func:`gausscoh.core.checked_tol` checks, or
+    ``RESIDUAL_TOL_REL * rho.scale``.
     """
     if rho.modes != sigma.modes:
         raise ShapeError(f"mode mismatch: {rho.modes} vs {sigma.modes}")
-    accept = RESIDUAL_TOL_REL * rho.scale if tol is None else tol
+    accept = RESIDUAL_TOL_REL * rho.scale if tol is None else checked_tol(tol)
     thermal = [thermal_test(state) for state in (rho, sigma)]
     inc_r, inc_s = (occupations is not None for occupations, _ in thermal)
     if inc_r and inc_s:
@@ -720,13 +741,11 @@ def brute_force_equivalence(
                 break
             for start in centres[np.argsort(res)[:2]]:
                 angles = tuple(float(a) for a in _polish(rho, w, e, start))
-                r = _residual(rho, sigma, perm, angles)
+                unitary = IncoherentUnitary(perm=perm, angles=angles)
+                r = _residual(rho, sigma, unitary)
                 best = min(best, r)
                 if r <= accept:
-                    return Equivalent(
-                        certificate=IncoherentUnitary(perm=perm, angles=angles),
-                        residual=r,
-                    )
+                    return Equivalent(certificate=unitary, residual=r)
             if len(centres) * len(signs) > _BOX_BUDGET:
                 exhausted = True
                 break

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import GaussianState, validate_state
+from .core import GaussianState, checked_tol, validate_state
 from .errors import NumericError
 
 
@@ -72,6 +72,7 @@ def displaced_squeezed_equivalent(
     (gamma the displacement phase, theta the squeezing phase). Either phase
     condition becomes vacuous when the corresponding magnitude vanishes.
     """
+    tol = checked_tol(tol)
     alpha, beta = complex(alpha), complex(beta)
     alpha2, beta2 = complex(alpha2), complex(beta2)
     if abs(abs(alpha) - abs(alpha2)) > tol:

@@ -85,6 +85,14 @@ class TestValidateState:
         state = gc.validate_state(cov, np.zeros(2))
         np.testing.assert_array_equal(state.cov, state.cov.T)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-3, float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance would skip the uncertainty check and accept V = 0.1 I;
+        # a negative one would reject the identity as asymmetric
+        for cov in (0.1 * np.eye(2), np.eye(2)):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                gc.validate_state(cov, np.zeros(2), tol=tol)
+
     def test_states_are_immutable(self):
         state = gc.vacuum()
         with pytest.raises(ValueError):

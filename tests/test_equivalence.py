@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -239,6 +240,18 @@ def _isotropic_ring(m):
     return np.kron(couplings, np.eye(2))
 
 
+def _displaced_ring_negative(m, seed):
+    """A ring with equal |d_i| and a planted image of other mean phases."""
+    rng = np.random.default_rng(seed)
+
+    def state(phases):
+        mean = np.ravel(np.column_stack([np.cos(phases), np.sin(phases)]))
+        return gc.validate_state(_isotropic_ring(m), mean)
+
+    rho, other = (state(rng.uniform(0.0, 2.0 * np.pi, size=m)) for _ in range(2))
+    return rho, gc.apply_incoherent_unitary(random_incoherent_unitary(m, rng), other)
+
+
 def _anchorless_state(m, kind, rng):
     """Isotropic local blocks, zero mean and random cross blocks of one kind."""
     cov = np.kron(np.diag(rng.uniform(2.5, 3.5, size=m)), np.eye(2))
@@ -408,34 +421,21 @@ class TestSearch:
         # equal |d_i| keep the spectrum and every label; only a dihedral
         # relabelling with one common rotation maps the ring onto itself,
         # and random phases admit none
-        m = 8
-        rng = np.random.default_rng(8)
-        cov = _isotropic_ring(m)
-
-        def mean(phases):
-            return np.ravel(np.column_stack([np.cos(phases), np.sin(phases)]))
-
-        rho = gc.validate_state(cov, mean(rng.uniform(0.0, 2.0 * np.pi, size=m)))
-        other = gc.validate_state(cov, mean(rng.uniform(0.0, 2.0 * np.pi, size=m)))
-        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(m, rng), other)
-        verdict = gc.decide_equivalence(rho, sigma)
+        verdict = gc.decide_equivalence(*_displaced_ring_negative(8, 8))
         assert isinstance(verdict, gc.NotEquivalent)
-        # the mean holonomies see the phase differences between neighbours
+        # x^t V x sees the phase differences between neighbours
         assert verdict.witness == "mode fingerprints"
 
     def test_rotated_mean_exhausts_the_search(self):
-        # a generic covariance pins the permutation, so the holonomies are
-        # not consulted and the rotated mode's own mean rejects the one leaf
-        m = 6
-        rho, _, planted = equivalent_pair(RandomStateRecipe(modes=m, seed=6))
-        k = int(np.argmax(np.linalg.norm(rho.mean.reshape(m, 2), axis=1)))
-        mean = rho.mean.copy()
-        mean[2 * k : 2 * k + 2] = rotation(1.0) @ mean[2 * k : 2 * k + 2]
-        other = gc.validate_state(rho.cov, mean)
-        sigma = gc.apply_incoherent_unitary(planted, other)
+        # with means of about 0.01, rotating one keeps x^t V x within its band;
+        # a generic covariance pins the permutation, so the holonomies are not
+        # consulted and the rotated mode's own mean rejects the one leaf
+        rho, sigma = _generic_pair(6, 6, 0.01, rotated=True)
+        _, h_band = equivalence._bands(rho, _accept(rho))
+        quadratic = equivalence._mean_quadratic
+        assert abs(quadratic(rho) - quadratic(sigma)) <= h_band
         verdict = gc.decide_equivalence(rho, sigma)
-        assert isinstance(verdict, gc.NotEquivalent)
-        assert verdict.witness == "search exhausted"
+        assert verdict == gc.NotEquivalent(witness="search exhausted", best_residual=None)
 
     @pytest.mark.parametrize("m", [4, 8, 12])
     @pytest.mark.parametrize("radius", [0.01, 1.0, 30.0])
@@ -521,7 +521,8 @@ class TestSearch:
     def test_settle_decides_generic_pairs_and_zero_mean_paths(self, monkeypatch):
         returned = _settle_spy(monkeypatch)
         planted = gc.decide_equivalence(*_generic_pair(6, 6, 1.0))
-        rotated = gc.decide_equivalence(*_generic_pair(6, 6, 1.0, rotated=True))
+        # a mean small enough to keep x^t V x within its band reaches the leaf
+        rotated = gc.decide_equivalence(*_generic_pair(6, 6, 0.01, rotated=True))
         assert isinstance(planted, gc.Equivalent) and returned[0] == planted
         assert rotated.witness == "search exhausted" and returned[1] == rotated
         # distinct couplings pin the path, and no part fixes w: an exact gauge,
@@ -570,7 +571,7 @@ class TestSearch:
         other = gc.validate_state(cov, sigma.mean)
         # past the spectrum stage, below the moved block
         tol = 1.5 * float(np.max(np.abs(rho.spectrum - other.spectrum)))
-        assert tol < equivalence._residual(rho, other, planted.perm, planted.angles)
+        assert tol < equivalence._residual(rho, other, planted)
         returned = _settle_spy(monkeypatch)
         verdict = gc.decide_equivalence(rho, other, tol=tol)
         assert verdict == gc.NotEquivalent(witness="search exhausted", best_residual=None)
@@ -622,6 +623,74 @@ class TestHolonomies:
         assert np.all(np.abs(hol_m - hol_r) <= h_band)
 
 
+def _mode_quadratics(state):
+    """Each mode's term x_i^t (V x)_i of x^t V x, x the state's mean."""
+    return (state.mean * (state.cov @ state.mean)).reshape(-1, 2).sum(axis=1)
+
+
+class TestMeanQuadratic:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        mean_scale=st.sampled_from([0.01, 1.0, 30.0, 300.0]),
+    )
+    def test_band_bounds_a_move_of_v_and_d(self, m, seed, mean_scale):
+        # r (2 N D + N r + (D + r)^2) <= h_band / 3 at r = band: a pair that a
+        # unitary meets within accept is never rejected by x^t V x
+        rho = random_state(RandomStateRecipe(modes=m, seed=seed, mean_scale=mean_scale))
+        band, h_band = equivalence._bands(rho, _accept(rho))
+        cov, mean = _moved(rho, band, np.random.default_rng(seed))
+        moved = equivalence._mean_quadratic(SimpleNamespace(cov=cov, mean=mean))
+        assert abs(moved - equivalence._mean_quadratic(rho)) <= h_band / 3.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        mean_scale=st.sampled_from([0.01, 1.0, 30.0, 300.0]),
+    )
+    def test_rows_move_with_the_permutation(self, m, seed, mean_scale):
+        recipe = RandomStateRecipe(modes=m, seed=seed, mean_scale=mean_scale)
+        rho, sigma, planted = equivalent_pair(recipe)
+        c_r, c_s = _mode_quadratics(rho), _mode_quadratics(sigma)
+        rounding = 1e-13 * rho.scale * max(1.0, float(rho.mean @ rho.mean))
+        np.testing.assert_allclose(c_s[list(planted.perm)], c_r, rtol=0.0, atol=rounding)
+        assert equivalence._mean_quadratic(rho) == pytest.approx(c_r.sum(), rel=0.0, abs=rounding)
+
+    @pytest.mark.parametrize("case", ["displaced ring", "mean-rotated"])
+    def test_negatives_never_reach_the_labels(self, case, monkeypatch):
+        if case == "displaced ring":
+            rho, sigma = _displaced_ring_negative(8, 8)
+        else:
+            # at mean scale 1 the rotated mode's x_i^t (V x)_i moves x^t V x
+            # out of its band
+            rho, sigma = _generic_pair(6, 6, 1.0, rotated=True)
+
+        def labels_taken(cov):
+            raise AssertionError("block_parts was called")
+
+        monkeypatch.setattr(equivalence, "block_parts", labels_taken)
+        assert gc.decide_equivalence(rho, sigma) == gc.NotEquivalent(witness="mode fingerprints")
+
+    def test_zero_mean_pairs_skip_the_check(self, monkeypatch):
+        def evaluated(state):
+            raise AssertionError("x^t V x was evaluated")
+
+        monkeypatch.setattr(equivalence, "_mean_quadratic", evaluated)
+        rng = np.random.default_rng(5)
+        for cov in (_isotropic_ring(6), _isotropic_path(8)):
+            rho = gc.validate_state(cov, np.zeros(cov.shape[0]))
+            sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(rho.modes, rng), rho)
+            assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
+        # a beam splitter on modes 0 and 1 keeps the spectrum and moves their labels
+        rho = gc.validate_state(_isotropic_ring(5), np.zeros(10))
+        mixer = np.eye(10)
+        mixer[0:4, 0:4] = np.kron(rotation(0.4), np.eye(2))
+        sigma = gc.validate_state(mixer @ rho.cov @ mixer.T, rho.mean)
+        assert gc.decide_equivalence(rho, sigma) == gc.NotEquivalent(witness="mode fingerprints")
+
+
 def noisy_planted_pair(k, noise, rel):
     """Planted pair k of the tolerance sweep, Gaussian noise on its image, and tol.
 
@@ -637,11 +706,20 @@ def noisy_planted_pair(k, noise, rel):
         sigma.cov + noise * (e + e.T) / 2, sigma.mean + noise * rng.normal(size=2 * m)
     )
     tol = rel * max(1.0, float(np.linalg.norm(rho.cov)))
-    assert equivalence._residual(rho, image, planted.perm, planted.angles) <= tol
+    assert equivalence._residual(rho, image, planted) <= tol
     return rho, image, tol
 
 
 class TestToleranceContract:
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("decide", [gc.decide_equivalence, gc.brute_force_equivalence])
+    def test_bad_tolerance_rejected(self, decide, tol):
+        # a NaN tol rejected a state against itself and gave the oracle a
+        # false proof; an infinite one accepted any pair of equal spectra
+        rho, sigma = perturbed_pair(RandomStateRecipe(modes=2, seed=22))
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            decide(rho, sigma, tol=tol)
+
     @settings(max_examples=60, deadline=None)
     @given(
         m=st.integers(1, 8),
@@ -727,7 +805,7 @@ class TestBruteForce:
         offsets = np.vstack([corners, rng.uniform(-1.0, 1.0, size=(32, m))])
         slack = 1e-12 * max(1.0, np.linalg.norm(rho.cov))
         for theta in centre + half_width * offsets:
-            residual = equivalence._residual(rho, sigma, perm, theta)
+            residual = equivalence._residual(rho, sigma, gc.IncoherentUnitary(perm, tuple(theta)))
             assert residual >= bound[0] - slack
 
     def test_one_mode_rotated_squeezed(self):

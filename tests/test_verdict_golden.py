@@ -8,8 +8,9 @@ each verdict's kind and witness: the certificate's permutation and angles,
 the witness string of a negative, the mode of a hypothesis violation. A
 second golden file holds the ``best_residual`` of every negative, as its
 ``repr`` (``None`` when the search reached no complete assignment).
-Regenerate both with ``GAUSS_COHERENCE_REGEN=1 pytest tests/test_verdict_golden.py``
-only when a change means to move a verdict.
+Regenerate both with ``GAUSS_COHERENCE_REGEN=1 pytest -s tests/test_verdict_golden.py``
+only when a change means to move a verdict; it prints each label whose
+record changed, old -> new.
 """
 
 import json
@@ -111,10 +112,20 @@ def _same(got: dict, want: dict) -> bool:
     return all(gap <= ANGLE_TOL for gap in gaps)
 
 
+def _regenerate(path: Path, got: dict, same) -> None:
+    """Write ``got`` to ``path``, printing each label whose record changed."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for label in [*got, *(label for label in old if label not in got)]:
+        before, after = old.get(label), got.get(label)
+        if before is None or after is None or not same(after, before):
+            print(f"{label}: {before} -> {after}")
+    path.write_text(json.dumps(got, indent=1) + "\n")
+
+
 def test_verdicts_match_golden():
     got = {label: _record(gc.decide_equivalence(*pair)) for label, pair in _pairs()}
     if os.environ.get("GAUSS_COHERENCE_REGEN"):
-        GOLDEN.write_text(json.dumps(got, indent=1) + "\n")
+        _regenerate(GOLDEN, got, _same)
     want = json.loads(GOLDEN.read_text())
     assert list(got) == list(want)
     drifted = [label for label in got if not _same(got[label], want[label])]
@@ -136,7 +147,7 @@ def test_best_residuals_match_golden():
         if isinstance(verdict, gc.NotEquivalent)
     }
     if os.environ.get("GAUSS_COHERENCE_REGEN"):
-        BEST_RESIDUALS.write_text(json.dumps(got, indent=1) + "\n")
+        _regenerate(BEST_RESIDUALS, got, _same_best)
     want = json.loads(BEST_RESIDUALS.read_text())
     assert list(got) == list(want)
     drifted = [label for label in got if not _same_best(got[label], want[label])]

@@ -87,6 +87,12 @@ class TestDisplacedSqueezedEquivalent:
     def test_phase_free_when_not_squeezed(self):
         assert gc.displaced_squeezed_equivalent(1.0, 0.0, 1.0j, 0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tol passed every magnitude test, an infinite one every test
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            gc.displaced_squeezed_equivalent(1.0, 0.5, 2.0, 0.5, tol=tol)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_decider(self, seed):
         rng = np.random.default_rng(seed)
