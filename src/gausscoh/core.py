@@ -7,6 +7,7 @@ with vacuum variance normalized to 1 (V_vac = I).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +65,14 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+@functools.lru_cache(maxsize=32)
+def _cross_mask(m: int) -> np.ndarray:
+    """1 on the cross blocks of a 2m x 2m matrix, 0 on its 2x2 mode blocks."""
+    mask = 1.0 - np.kron(np.eye(m), np.ones((2, 2)))
+    mask.setflags(write=False)
+    return mask
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Immutable validated Gaussian state (V, d).
@@ -73,7 +82,7 @@ class GaussianState:
     relation. ``modes``, the read-only symplectic ``spectrum`` and
     ``scale`` = max(1, ||V||_F), which every tolerance on the state is
     relative to, are derived from the covariance once, when the state is
-    built.
+    built; ``cross_bound`` once, when it is first read.
     """
 
     cov: np.ndarray
@@ -90,6 +99,15 @@ class GaussianState:
         spectrum = _symplectic_spectrum(self.cov, self.scale)
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
+
+    @functools.cached_property
+    def cross_bound(self) -> np.ndarray:
+        """Each mode's largest |entry| in its cross blocks; no block's Frobenius
+        norm is smaller, so a value above a tolerance shows a block above it."""
+        m = self.modes
+        bound = (np.abs(self.cov) * _cross_mask(m)).reshape(m, 4 * m).max(axis=1)
+        bound.setflags(write=False)
+        return bound
 
     def mode_cov(self, i: int) -> np.ndarray:
         """2x2 diagonal covariance block of mode ``i`` (0-based)."""
@@ -225,27 +243,19 @@ def isotropic_split(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, block_norms(cov - np.diag(np.repeat(lam, 2)))
 
 
-def thermal_test(state: GaussianState) -> tuple[list[float] | None, np.ndarray | None]:
-    """:func:`is_incoherent_state`'s answer, and the block-norm table it took.
-
-    The table is :func:`isotropic_split`'s, so off the diagonal it holds the
-    norms of the cross blocks; a mean above tolerance answers first, and then
-    no table is taken (None).
-    """
-    t = DEFAULT_TOL_REL * state.scale
-    if np.linalg.norm(state.mean) > t:
-        return None, None
-    lam, rest = isotropic_split(state.cov)
-    if np.max(rest) > t:
-        return None, rest
-    return [max((x - 1.0) / 2.0, 0.0) for x in lam], rest
-
-
 def is_incoherent_state(state: GaussianState) -> list[float] | None:
     """Mean photon numbers [n_1, ..., n_m] if the state is incoherent.
 
     An incoherent Gaussian state is a tensor product of thermal states:
     zero mean, no cross-mode correlations, and each mode block equal to
     (2 n_i + 1) I_2, within :func:`default_tol`. Returns ``None`` otherwise.
+    A mean or a ``state.cross_bound`` above tolerance answers first; only a
+    state that passes both takes the exact table of :func:`isotropic_split`.
     """
-    return thermal_test(state)[0]
+    t = DEFAULT_TOL_REL * state.scale
+    if np.linalg.norm(state.mean) > t or np.max(state.cross_bound) > t:
+        return None
+    lam, rest = isotropic_split(state.cov)
+    if np.max(rest) > t:
+        return None
+    return [max((x - 1.0) / 2.0, 0.0) for x in lam]

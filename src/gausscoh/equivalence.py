@@ -38,7 +38,7 @@ from .core import (
     block_norms,
     block_parts,
     checked_tol,
-    thermal_test,
+    is_incoherent_state,
     validate_state,
 )
 from .errors import NumericError, ShapeError
@@ -141,26 +141,25 @@ def check_hypothesis(state: GaussianState) -> HypothesisViolated | None:
     anisotropic covariance). "Nonzero" means above the state's
     :func:`gausscoh.core.default_tol`. Returns the first violation, or None.
     """
-    # a multimode state needs only its cross-block norms, not the incoherence test
-    return _hypothesis(state, thermal_test(state) if state.modes == 1 else (None, None))
+    if state.modes > 1:
+        return _hypothesis(state)
+    if is_incoherent_state(state) is None:
+        return None
+    return HypothesisViolated(
+        mode=0, reason="one-mode state is incoherent (d = 0 and V is isotropic)"
+    )
 
 
-def _hypothesis(state: GaussianState, thermal) -> HypothesisViolated | None:
-    """:func:`check_hypothesis` from the state's :func:`gausscoh.core.thermal_test`,
-    whose block-norm table, if it took one, it overwrites. A multimode state
-    without a table takes :func:`gausscoh.core.block_norms`."""
-    occupations, norms = thermal
-    if state.modes == 1:
-        if occupations is None:
-            return None
-        return HypothesisViolated(
-            mode=0, reason="one-mode state is incoherent (d = 0 and V is isotropic)"
-        )
-    if norms is None:
-        norms = block_norms(state.cov)
-    # off the diagonal, both tables hold the cross blocks' norms
-    norms.flat[:: state.modes + 1] = 0.0
-    lonely = norms.max(axis=1) <= DEFAULT_TOL_REL * state.scale
+def _hypothesis(state: GaussianState) -> HypothesisViolated | None:
+    """The first mode of a multimode state with no cross block above tolerance.
+    A ``state.cross_bound`` above it shows a block; only when some mode is
+    left does the exact :func:`gausscoh.core.block_norms` table decide."""
+    t = DEFAULT_TOL_REL * state.scale
+    if state.cross_bound.min() > t:
+        return None
+    norms = block_norms(state.cov)
+    np.fill_diagonal(norms, 0.0)
+    lonely = norms.max(axis=1) <= t
     i = int(lonely.argmax())
     if lonely[i]:
         return HypothesisViolated(
@@ -301,14 +300,19 @@ def _gap(term, w) -> float:
     return abs(x0 * w**power - y)
 
 
-def _tree_phase(parts, perm, u, i, j, k) -> tuple[complex, int]:
-    """Mode j's phase from its tree edge to its placed BFS parent i, j sent to k.
+def _tree_phase(parts, perm, u, sgn, i, j, k) -> tuple[complex, int]:
+    """Mode j's phase from its tree edge to its placed BFS parent i, or its mean.
 
     The edge's larger part decides: its rotation part gives u_j = u_i times a
     phase, its reflection part u_j = conj(u_i) times a phase. The second value,
-    +-1, is the sign of u_j's power of a free w relative to u_i's.
+    +-1, is the sign of u_j's power of a free w relative to u_i's. Once w is
+    fixed (u_i has no power of w), a mean larger than both parts decides
+    instead: the edge's angle error grows with the path to the root, and a
+    large mean turns an error into a large gap.
     """
-    (p_r, p_s), (q_r, q_s), _ = parts
+    (p_r, p_s), (q_r, q_s), (d_r, d_s) = parts
+    if not sgn[i] and abs(d_r[j]) > max(abs(p_r[i][j]), abs(q_r[i][j])):
+        return _phase(d_r[j] * d_s[k].conjugate()), 1
     if abs(p_r[i][j]) >= abs(q_r[i][j]):
         return u[i] * _phase(p_r[i][j] * p_s[perm[i]][k].conjugate()), 1
     return u[i].conjugate() * _phase(q_s[perm[i]][k] * q_r[i][j].conjugate()), -1
@@ -360,17 +364,17 @@ def _exhausted(best: float) -> NotEquivalent:
 def _settle(rho, sigma, accept, anchor, parts, perm, order, parent):
     """The verdict of :func:`_search` when the labels pin ``perm``, or None.
 
-    One walk down the BFS tree gives every mode its phase from its tree edge,
-    as in the search, and fixes each component's w where the search does: at
-    the first mode with a part on w above the anchor, to those of its roots
-    that pass that mode's tests; else from the component's strongest weak
-    part once it is complete; else not at all, an exact gauge. While w is
-    free only nonzero parts are looked at, as a zero part fixes nothing. So
-    the leaves are the choices of w, and one residual decides each. The
-    search's tests on the way to a leaf bound its residual from below, so
-    only a failing leaf needs them, to count towards ``best_residual`` only
-    if the search reaches it. None when more than one component keeps two
-    values of w.
+    One walk down the BFS tree gives every mode its phase by
+    :func:`_tree_phase`, as in the search, and fixes each component's w
+    where the search does: at the first mode with a part on w above the
+    anchor, to those of its roots that pass that mode's tests; else from the
+    component's strongest weak part once it is complete; else not at all, an
+    exact gauge. While w is free only nonzero parts are looked at, as a zero
+    part fixes nothing. So the leaves are the choices of w, and one residual
+    decides each. The search's tests on the way to a leaf bound its residual
+    from below, so only a failing leaf needs them, to count towards
+    ``best_residual`` only if the search reaches it. None when more than one
+    component keeps two values of w.
     """
     m = len(perm)
     (p_r, _), (q_r, _), (d_r, d_s) = parts
@@ -388,7 +392,7 @@ def _settle(rho, sigma, accept, anchor, parts, perm, order, parent):
                 sgn = [0] * m
                 u[j], sgn[j] = 1.0, 1
             else:
-                u[j], flip = _tree_phase(parts, perm, u, i, j, k)
+                u[j], flip = _tree_phase(parts, perm, u, sgn, i, j, k)
                 sgn[j] = flip * sgn[i]
             ws = [None]
             if sgn[j]:
@@ -531,7 +535,7 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
                 s_k = [0] * m
                 u_k[j], s_k[j] = 1.0, 1
             else:
-                u_k[j], flip = _tree_phase(parts, perm, u, i, j, k)
+                u_k[j], flip = _tree_phase(parts, perm, u, sgn, i, j, k)
                 s_k[j] = flip * s_k[i]
             terms = _terms(parts, perm, u_k, s_k, done, j, k)
             top = _top(terms)
@@ -562,9 +566,8 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     return _exhausted(best)
 
 
-def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float, list]:
-    """The incoherence verdict both deciders start with, or None, ``accept``,
-    and each state's :func:`gausscoh.core.thermal_test`.
+def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float]:
+    """The incoherence verdict both deciders start with, or None, and ``accept``.
 
     ``accept`` is ``tol``, which :func:`gausscoh.core.checked_tol` checks, or
     ``RESIDUAL_TOL_REL * rho.scale``.
@@ -572,13 +575,12 @@ def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float, list]
     if rho.modes != sigma.modes:
         raise ShapeError(f"mode mismatch: {rho.modes} vs {sigma.modes}")
     accept = RESIDUAL_TOL_REL * rho.scale if tol is None else checked_tol(tol)
-    thermal = [thermal_test(state) for state in (rho, sigma)]
-    inc_r, inc_s = (occupations is not None for occupations, _ in thermal)
+    inc_r, inc_s = (is_incoherent_state(state) is not None for state in (rho, sigma))
     if inc_r and inc_s:
-        return AllIncoherent(), accept, thermal
+        return AllIncoherent(), accept
     if inc_r != inc_s:
-        return NotEquivalent(witness="coherence mismatch"), accept, thermal
-    return None, accept, thermal
+        return NotEquivalent(witness="coherence mismatch"), accept
+    return None, accept
 
 
 def decide_equivalence(
@@ -592,13 +594,14 @@ def decide_equivalence(
     coherent multimode state falls outside the theorem's hypothesis. ``tol``
     is the acceptance threshold, and every stage derives its band from it.
     """
-    early, accept, thermal = _prechecks(rho, sigma, tol)
+    early, accept = _prechecks(rho, sigma, tol)
     if early is not None:
         return early
-    # stage 2 reads the block norms stage 1 took
-    for violation in map(_hypothesis, (rho, sigma), thermal):
-        if violation is not None:
-            return violation
+    if rho.modes > 1:
+        # both states are coherent by now, which is all one mode needs
+        for violation in map(_hypothesis, (rho, sigma)):
+            if violation is not None:
+                return violation
     # never below the rounding floor of the eigen-solve behind the spectra
     if np.max(np.abs(rho.spectrum - sigma.spectrum)) > max(accept, DEFAULT_TOL_REL * rho.scale):
         return NotEquivalent(witness="symplectic spectrum")
@@ -720,7 +723,7 @@ def brute_force_equivalence(
     ``NotEquivalent(witness="search exhausted")``. Either way,
     ``best_residual`` is the smallest residual the search evaluated.
     """
-    early, accept, _ = _prechecks(rho, sigma, tol)
+    early, accept = _prechecks(rho, sigma, tol)
     m = rho.modes
     if m > 3:
         raise ValueError("brute-force oracle supports at most 3 modes")
