@@ -82,7 +82,8 @@ class GaussianState:
     relation. ``modes``, the read-only symplectic ``spectrum`` and
     ``scale`` = max(1, ||V||_F), which every tolerance on the state is
     relative to, are derived from the covariance once, when the state is
-    built; ``cross_bound`` once, when it is first read.
+    built. ``cross_bound`` is derived when it is first read and kept on the
+    state, so building a state never takes it.
     """
 
     cov: np.ndarray
@@ -100,13 +101,18 @@ class GaussianState:
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
 
-    @functools.cached_property
+    @property
     def cross_bound(self) -> np.ndarray:
         """Each mode's largest |entry| in its cross blocks; no block's Frobenius
-        norm is smaller, so a value above a tolerance shows a block above it."""
-        m = self.modes
-        bound = (np.abs(self.cov) * _cross_mask(m)).reshape(m, 4 * m).max(axis=1)
-        bound.setflags(write=False)
+        norm is smaller, so a value above a tolerance shows a block above it.
+        Taken on the first read and kept in the instance ``__dict__``, with no
+        lock; a second thread racing the first read only takes it again."""
+        bound = self.__dict__.get("_cross_bound")
+        if bound is None:
+            m = self.modes
+            bound = (np.abs(self.cov) * _cross_mask(m)).reshape(m, 4 * m).max(axis=1)
+            bound.setflags(write=False)
+            self.__dict__["_cross_bound"] = bound
         return bound
 
     def mode_cov(self, i: int) -> np.ndarray:
@@ -130,7 +136,9 @@ def validate_state(
     Every entry must be finite. The covariance is symmetrized as
     (V + V^t)/2 when the asymmetry is within tolerance. The uncertainty
     relation then requires V positive definite (its lowest eigenvalue
-    >= -tol) and the minimum symplectic eigenvalue >= 1 - tol.
+    >= -tol) and the minimum symplectic eigenvalue >= 1 - tol. A Cholesky
+    factor proves the first, as no eigenvalue of a V it factors lies below
+    about -2m eps ||V||; only a V it fails on takes ``eigvalsh``.
     """
     cov = np.asarray(cov, dtype=float)
     mean = np.asarray(mean, dtype=float)
@@ -153,12 +161,15 @@ def validate_state(
         )
     cov = (cov + cov.T) / 2.0
     # Williamson's theorem needs V > 0, and the spectrum's moduli hide the sign
-    lowest = float(np.linalg.eigvalsh(cov)[0])
-    if lowest < -t:
-        raise UncertaintyViolationError(
-            f"covariance has eigenvalue {lowest:.12g} and is not positive definite",
-            value=lowest,
-        )
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        lowest = float(np.linalg.eigvalsh(cov)[0])
+        if lowest < -t:
+            raise UncertaintyViolationError(
+                f"covariance has eigenvalue {lowest:.12g} and is not positive definite",
+                value=lowest,
+            ) from None
     state = GaussianState(cov=cov, mean=mean.copy())
     if state.spectrum[0] < 1.0 - t:
         raise UncertaintyViolationError(
@@ -253,9 +264,11 @@ def is_incoherent_state(state: GaussianState) -> list[float] | None:
     state that passes both takes the exact table of :func:`isotropic_split`.
     """
     t = DEFAULT_TOL_REL * state.scale
-    if np.linalg.norm(state.mean) > t or np.max(state.cross_bound) > t:
+    mean = state.mean
+    # ||d||, in the arithmetic of np.linalg.norm for a real vector
+    if math.sqrt(mean.dot(mean)) > t or state.cross_bound.max() > t:
         return None
     lam, rest = isotropic_split(state.cov)
-    if np.max(rest) > t:
+    if rest.max() > t:
         return None
     return [max((x - 1.0) / 2.0, 0.0) for x in lam]

@@ -25,6 +25,7 @@ gauge of a zero-mean isotropic state), and the full residual decides.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,7 +159,7 @@ def _hypothesis(state: GaussianState) -> HypothesisViolated | None:
     if state.cross_bound.min() > t:
         return None
     norms = block_norms(state.cov)
-    np.fill_diagonal(norms, 0.0)
+    norms.flat[:: state.modes + 1] = 0.0
     lonely = norms.max(axis=1) <= t
     i = int(lonely.argmax())
     if lonely[i]:
@@ -175,10 +176,17 @@ def _hypothesis(state: GaussianState) -> HypothesisViolated | None:
 
 def _residual(rho: GaussianState, sigma: GaussianState, unitary: IncoherentUnitary) -> float:
     u = unitary.matrix()
-    return max(
-        float(np.linalg.norm(u @ rho.cov @ u.T - sigma.cov)),
-        float(np.linalg.norm(u @ rho.mean - sigma.mean)),
-    )
+    gap = u @ rho.mean - sigma.mean
+    # ||gap|| in the arithmetic of np.linalg.norm for a real vector
+    return max(float(np.linalg.norm(u @ rho.cov @ u.T - sigma.cov)), math.sqrt(gap.dot(gap)))
+
+
+@functools.lru_cache(maxsize=32)
+def _off_diagonal(m: int) -> np.ndarray:
+    """The read-only m x m mask with 0 on the diagonal and 1 off it."""
+    mask = 1.0 - np.eye(m)
+    mask.setflags(write=False)
+    return mask
 
 
 def _labels(p, abs_p, abs_q, d) -> np.ndarray:
@@ -188,7 +196,7 @@ def _labels(p, abs_p, abs_q, d) -> np.ndarray:
     mode's cross blocks (zero blocks included, so their count is matched);
     ``abs_p`` and ``abs_q`` are |P| and |Q|.
     """
-    cross = 1.0 - np.eye(d.shape[-1])
+    cross = _off_diagonal(d.shape[-1])
     return np.concatenate(
         [
             p.diagonal(axis1=-2, axis2=-1).real[..., None],
@@ -234,7 +242,7 @@ def _bands(rho: GaussianState, accept: float) -> tuple[float, float]:
     moves by at most r (2 N D + N r + (D + r)^2).
     """
     norm_v = rho.scale
-    norm_d = max(1.0, float(np.linalg.norm(rho.mean)))
+    norm_d = max(1.0, math.sqrt(rho.mean.dot(rho.mean)))
     band = max(accept, 1e-6 * norm_v)
     return band, 3.0 * band * (norm_d + band) * (2.0 * norm_v + norm_d + band)
 
@@ -481,12 +489,12 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     p, q = block_parts(np.array([rho.cov, sigma.cov]))
     abs_p, abs_q = np.abs(p), np.abs(q)
     lab_r, lab_s = _labels(p, abs_p, abs_q, d)
-    compatible = np.all(np.abs(lab_r[:, None] - lab_s[None, :]) <= band, axis=2)
+    compatible = (np.abs(lab_r[:, None] - lab_s[None, :]) <= band).all(axis=2)
     pairs = np.count_nonzero(compatible)
     # refine only a choice the moduli leave; with zero means every holonomy is 0
     if pairs > m and displaced:
         hol_r, hol_s = _holonomies(p, q, d)
-        compatible &= np.all(np.abs(hol_r[:, None] - hol_s[None, :]) <= h_band, axis=2)
+        compatible &= (np.abs(hol_r[:, None] - hol_s[None, :]) <= h_band).all(axis=2)
         pairs = np.count_nonzero(compatible)
     if not (compatible.any(axis=0).all() and compatible.any(axis=1).all()):
         return NotEquivalent(witness="mode fingerprints")
@@ -494,7 +502,7 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     # parts below this scale give unreliable angles for the other blocks
     anchor = max(10.0 * accept, 1e-6)
     strong = (abs_p[0] > anchor) | (abs_q[0] > anchor)
-    np.fill_diagonal(strong, False)
+    strong.flat[:: m + 1] = False
     order, parent = _bfs_order(strong.tolist())
     parts = (p.tolist(), q.tolist(), d.tolist())
     if pairs == m:
@@ -575,7 +583,8 @@ def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float]:
     if rho.modes != sigma.modes:
         raise ShapeError(f"mode mismatch: {rho.modes} vs {sigma.modes}")
     accept = RESIDUAL_TOL_REL * rho.scale if tol is None else checked_tol(tol)
-    inc_r, inc_s = (is_incoherent_state(state) is not None for state in (rho, sigma))
+    inc_r = is_incoherent_state(rho) is not None
+    inc_s = is_incoherent_state(sigma) is not None
     if inc_r and inc_s:
         return AllIncoherent(), accept
     if inc_r != inc_s:
@@ -603,7 +612,7 @@ def decide_equivalence(
             if violation is not None:
                 return violation
     # never below the rounding floor of the eigen-solve behind the spectra
-    if np.max(np.abs(rho.spectrum - sigma.spectrum)) > max(accept, DEFAULT_TOL_REL * rho.scale):
+    if np.abs(rho.spectrum - sigma.spectrum).max() > max(accept, DEFAULT_TOL_REL * rho.scale):
         return NotEquivalent(witness="symplectic spectrum")
     return _search(rho, sigma, accept)
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import GaussianState, rotation, validate_state
 from .equivalence import IncoherentUnitary, apply_incoherent_unitary, check_hypothesis
+from .errors import UncertaintyViolationError
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,9 @@ def perturbed_pair(
 
     The perturbation is added symmetrically to an off-diagonal entry and
     the result re-validated, so the pair is genuinely inequivalent at any
-    tolerance well below ``magnitude``.
+    tolerance well below ``magnitude``. A perturbation that breaks the
+    uncertainty relation is undone and another entry tried; any other error
+    propagates.
     """
     rho, sigma, _ = equivalent_pair(recipe)
     rng = np.random.default_rng(recipe.seed + 0x51ED270)
@@ -118,7 +121,7 @@ def perturbed_pair(
         cov[j, i] += magnitude
         try:
             return rho, validate_state(cov, sigma.mean)
-        except Exception:
+        except UncertaintyViolationError:
             cov[i, j] -= magnitude
             cov[j, i] -= magnitude
     # fall back to inflating a diagonal entry, always physical

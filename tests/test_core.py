@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gausscoh as gc
-from gausscoh.core import block_norms, block_parts, isotropic_split, rotation
+from gausscoh.core import block_norms, block_parts, default_tol, isotropic_split, rotation
 from gausscoh.sampling import RandomStateRecipe, random_state, random_symplectic
 
 
@@ -59,6 +61,37 @@ class TestValidateState:
         with pytest.raises(gc.UncertaintyViolationError) as err:
             gc.validate_state(cov, np.zeros(len(cov)))
         assert err.value.value == pytest.approx(-3.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 8, 16]),
+        seed=st.integers(0, 2**32 - 1),
+        lowest=st.floats(-3.0, 3.0),
+    )
+    def test_the_factor_accepts_as_the_lowest_eigenvalue_rule(self, n, seed, lowest):
+        # V's lowest eigenvalue is lowest * t: the rule's edge -t and 0 both
+        # lie inside the range, and on either side the outcome is eigvalsh's
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        rest = rng.uniform(1.0, 5.0, size=n - 1)
+        eigs = np.concatenate([[lowest * 1e-9 * max(1.0, np.linalg.norm(rest))], rest])
+        cov = q @ np.diag(eigs) @ q.T
+        want = float(np.linalg.eigvalsh((cov + cov.T) / 2.0)[0])
+        rejected = want < -default_tol(cov)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solved:
+            try:
+                gc.validate_state(cov, np.zeros(n))
+                error = None
+            except (gc.UncertaintyViolationError, gc.NumericError) as exc:
+                error = exc
+        # a V with every eigenvalue clear of rounding takes no eigvalsh
+        if lowest > 0.5:
+            assert not solved.called
+        if rejected:
+            assert "not positive definite" in str(error)
+            assert error.value == want
+        else:
+            assert error is None or "not positive definite" not in str(error)
 
     @pytest.mark.parametrize("entry", ["cov", "mean"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

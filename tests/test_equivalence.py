@@ -650,8 +650,10 @@ class TestSearch:
         assert returned[3:] == [None]
 
     def test_a_settled_pair_takes_one_matrix_norm(self, monkeypatch):
-        # every tolerance reads state.scale: only the leaf residual's ||.||_F is left
+        # every tolerance reads state.scale: only the leaf residual's ||.||_F is
+        # left, and every vector norm is sqrt(x.x), the bits np.linalg.norm gives
         rho, sigma = _generic_pair(6, 6, 1.0)
+        ring, image = _displaced_ring_negative(6, 6)
         ndims, real = [], np.linalg.norm
 
         def spy(x, *args, **kwargs):
@@ -662,7 +664,28 @@ class TestSearch:
         returned = _settle_spy(monkeypatch)
         assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
         assert returned[0] is not None
-        assert ndims.count(2) == 1
+        assert ndims == [2]
+        # rejected at x^t V x: no norm at all
+        ndims.clear()
+        assert gc.decide_equivalence(ring, image) == gc.NotEquivalent(witness="mode fingerprints")
+        assert ndims == []
+
+    def test_the_cross_bound_is_taken_once_per_state_and_only_when_read(self, monkeypatch):
+        taken, real = [], core._cross_mask
+
+        def spy(m):
+            taken.append(m)
+            return real(m)
+
+        monkeypatch.setattr(core, "_cross_mask", spy)
+        # zero-mean rings: both the incoherence and the hypothesis stage read it
+        rho = gc.validate_state(_isotropic_ring(5), np.zeros(10))
+        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(5, np.random.default_rng(5)), rho)
+        assert taken == []
+        assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
+        assert taken == [5, 5]
+        assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
+        assert taken == [5, 5]
 
     def test_cross_block_negative_reaches_no_leaf(self, monkeypatch):
         # only the block between the images of modes 3 and 4 moves, by 1e-6; on

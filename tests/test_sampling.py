@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gausscoh as gc
+from gausscoh import sampling
 from gausscoh.sampling import (
     RandomStateRecipe,
     equivalent_pair,
@@ -81,6 +82,21 @@ class TestPerturbedPair:
         _, small = perturbed_pair(RandomStateRecipe(modes=2, seed=3), magnitude=0.01)
         planted = equivalent_pair(RandomStateRecipe(modes=2, seed=3))[1]
         assert np.max(np.abs(small.cov - planted.cov)) == pytest.approx(0.01, abs=1e-12)
+
+    def test_a_programming_error_is_not_retried(self, monkeypatch):
+        # only an unphysical perturbation is undone; anything else propagates at once
+        pair = equivalent_pair(RandomStateRecipe(modes=2, seed=3))
+        calls = []
+
+        def broken(cov, mean):
+            calls.append(1)
+            raise TypeError("broken")
+
+        monkeypatch.setattr(sampling, "equivalent_pair", lambda recipe: pair)
+        monkeypatch.setattr(sampling, "validate_state", broken)
+        with pytest.raises(TypeError, match="broken"):
+            perturbed_pair(RandomStateRecipe(modes=2, seed=3))
+        assert len(calls) == 1
 
 
 class TestWilliamsonInvarianceCheck:
