@@ -8,18 +8,20 @@ that group directly and emits the unitary as a verifiable certificate.
 After the cheap checks (incoherence, the theorem's hypothesis, the
 symplectic spectrum, the mean's quadratic invariant of
 :func:`_mean_quadratic`, per-mode labels refined by the mean holonomies of
-:func:`_holonomies`), one backtracking search walks the modes of rho in BFS
-order over its cross blocks and gives each a target mode and an angle
-together. Every 2x2 block splits into a rotation part and a reflection part
-(:func:`gausscoh.core.block_parts`), and each part, like each mean, fixes
-an angle, a difference or a sum of two angles in closed form, so no angle
-is scanned. A placed mode's mean and blocks to the modes placed before it
-are checked at once against the acceptance threshold; each complete
-assignment is accepted only on its full residual. When the labels leave
-every mode one target, :func:`_settle` skips those checks: one walk down
-the BFS tree gives every angle, fixing each component's free phase where
-the search would, or leaving it where no part moves with it (the exact
-gauge of a zero-mean isotropic state), and the full residual decides.
+:func:`_holonomies`), one backtracking walk, :func:`_walk`, takes the modes
+of rho in BFS order over its cross blocks and gives each a target mode and
+an angle together. Every 2x2 block splits into a rotation part and a
+reflection part (:func:`gausscoh.core.block_parts`), and each part, like
+each mean, fixes an angle, a difference or a sum of two angles in closed
+form, so no angle is scanned. A placed mode's mean and blocks to the modes
+placed before it are checked at once against the acceptance threshold;
+each complete assignment is accepted only on its full residual. When the
+labels leave every mode one target, the walk defers those checks, as every
+one bounds the residual from below: each component's free phase is fixed
+where the checked walk would, or left where no part moves with it (the
+exact gauge of a zero-mean isotropic state), and the full residual
+decides. Only when every leaf so reached fails does a checked walk run,
+for the best residual.
 """
 
 from __future__ import annotations
@@ -362,97 +364,98 @@ def _leaf(rho, sigma, accept: float, perm, u) -> tuple[float, Equivalent | None]
     return res, Equivalent(certificate=certificate, residual=res)
 
 
-def _exhausted(best: float) -> NotEquivalent:
-    return NotEquivalent(
-        witness="search exhausted",
-        best_residual=None if math.isinf(best) else best,
-    )
+def _walk(rho, sigma, accept, anchor, parts, targets, order, parent, full):
+    """Depth first down the BFS tree: the first assignment within ``accept``,
+    or None, and the smallest residual of an assignment reached (inf: none).
 
-
-def _settle(rho, sigma, accept, anchor, parts, perm, order, parent):
-    """The verdict of :func:`_search` when the labels pin ``perm``, or None.
-
-    One walk down the BFS tree gives every mode its phase by
-    :func:`_tree_phase`, as in the search, and fixes each component's w
-    where the search does: at the first mode with a part on w above the
-    anchor, to those of its roots that pass that mode's tests; else from the
-    component's strongest weak part once it is complete; else not at all, an
-    exact gauge. While w is free only nonzero parts are looked at, as a zero
-    part fixes nothing. So the leaves are the choices of w, and one residual
-    decides each. The search's tests on the way to a leaf bound its residual
-    from below, so only a failing leaf needs them, to count towards
-    ``best_residual`` only if the search reaches it. None when more than one
-    component keeps two values of w.
+    Mode j tries each free target of ``targets[j]`` with its phase from
+    :func:`_tree_phase`. A component's w is fixed at its first mode with a
+    part on w above the anchor, to each root of that part that passes the
+    mode's :func:`_fits`; else, once the component is complete, to each
+    root of its strongest weak part; else never, an exact gauge. With
+    ``full`` every mode passes :func:`_fits`. Without it only the mode that
+    fixes w does, and a mode placed once w is fixed passes the mean test of
+    :func:`_fits`. Every test bounds the residual from below, so the first
+    leaf within ``accept`` is the same either way; only failing leaves are
+    added.
     """
-    m = len(perm)
+    m = len(order)
     (p_r, _), (q_r, _), (d_r, d_s) = parts
+    perm, used, best = [-1] * m, [False] * m, math.inf
 
-    def walk(second: bool, full: bool):
-        """Every mode's phase, in the search's arithmetic, and how many
-        components kept two values of w, with the second value taken when
-        ``second``. The phases are None once a mode fails the search's test
-        on its mean, or with ``full`` any of its tests, or a component's w
-        keeps no value; the walk ends at the second component with two."""
-        u, sgn, weak, forks = [1.0] * m, [0] * m, _NO_PART, 0
-        for pos, j in enumerate(order):
-            i, k = parent[j], perm[j]
+    def descend(pos: int, u: list, sgn: list, weak):
+        # weak: the strongest part on w seen while w is free, all below anchor.
+        # A mode's entries of u and sgn are written in place each time it is
+        # placed; only the entries of placed modes are ever read
+        nonlocal best
+        if (pos == m or parent[order[pos]] is None) and _size(weak) > 0.0:
+            # the component ends with w free: its strongest weak part fixes w
+            for w in _roots(weak):
+                found = descend(pos, [z * w**s for z, s in zip(u, sgn)], [0] * m, _NO_PART)
+                if found is not None:
+                    return found
+            return None
+        if pos == m:
+            res, found = _leaf(rho, sigma, accept, perm, u)
+            best = min(best, res)
+            return found
+        j = order[pos]
+        i = parent[j]
+        done = order[:pos]
+        if i is None:
+            # a new component: the previous one's w is fixed by now
+            sgn = [0] * m
+        for k in targets[j]:
+            if used[k]:
+                continue
             if i is None:
-                sgn = [0] * m
                 u[j], sgn[j] = 1.0, 1
             else:
                 u[j], flip = _tree_phase(parts, perm, u, sgn, i, j, k)
                 sgn[j] = flip * sgn[i]
-            ws = [None]
-            if sgn[j]:
-                # while w is free, only a nonzero part with a power of w can
-                # fix w or be the weak part: a zero part never changes either
-                s_j = sgn[j]
-                moving = [
-                    h for h in order[:pos]
-                    if (p_r[h][j] and sgn[h] != s_j) or (q_r[h][j] and sgn[h] != -s_j)
-                ]
-                top = _NO_PART
-                if moving or d_r[j] or q_r[j][j]:
-                    top = _top(_terms(parts, perm, u, sgn, moving, j, k))
+            s_j, ws, weak_k, terms = sgn[j], [None], weak, None
+            if s_j:
+                if full:
+                    terms = _terms(parts, perm, u, sgn, done, j, k)
+                    top = _top(terms)
+                else:
+                    # only a nonzero part with a power of w can fix w or be
+                    # the weak part: a zero part never changes either
+                    moving = [
+                        h for h in done
+                        if (p_r[h][j] and sgn[h] != s_j) or (q_r[h][j] and sgn[h] != -s_j)
+                    ]
+                    top = _NO_PART
+                    if moving or d_r[j] or q_r[j][j]:
+                        top = _top(_terms(parts, perm, u, sgn, moving, j, k))
                 if _size(top) > anchor:
-                    ws = _roots(top)
+                    ws, weak_k = _roots(top), _NO_PART
                 elif _size(top) > _size(weak):
-                    weak = top
-            elif not full and abs(d_r[j] * u[j].conjugate() - d_s[k]) > accept:
+                    weak_k = top
+            if full or ws[0] is not None:
+                if terms is None:
+                    terms = _terms(parts, perm, u, sgn, done, j, k)
+                ws = [w for w in ws if _fits(terms, w, accept)]
+            elif not s_j and abs(d_r[j] * u[j].conjugate() - d_s[k]) > accept:
                 # the mean's test of _fits, in its arithmetic: with w fixed,
                 # the mean term of _terms has power 0 and _gap is |x0 - y|
-                return None, forks
-            if full or ws[0] is not None:
-                terms = _terms(parts, perm, u, sgn, order[:pos], j, k)
-                ws = [w for w in ws if _fits(terms, w, accept)]
-                if not ws:
-                    return None, forks
-            if ws[0] is None and sgn[j] and _size(weak) > 0.0:
-                if pos + 1 == m or parent[order[pos + 1]] is None:
-                    # the component ends with w free: its strongest weak part fixes w
-                    ws = _roots(weak)
-            if ws[0] is not None:
-                forks += len(ws) > 1
-                if forks > 1:
-                    return None, forks
-                w = ws[-1] if second else ws[0]
-                u, sgn, weak = [z * w**s for z, s in zip(u, sgn)], [0] * m, _NO_PART
-        return u, forks
+                continue
+            perm[j], used[k] = k, True
+            for w in ws:
+                if w is None:
+                    found = descend(pos + 1, u, sgn, weak_k)
+                else:
+                    found = descend(pos + 1, [z * w**s for z, s in zip(u, sgn)], [0] * m, _NO_PART)
+                if found is not None:
+                    return found
+            used[k] = False
+        return None
 
-    best = math.inf
-    for second in (False, True):
-        u, forks = walk(second, False)
-        if forks > 1:
-            return None
-        if u is not None:
-            res, found = _leaf(rho, sigma, accept, perm, u)
-            if found is not None:
-                return found
-            if walk(second, True)[0] is not None:
-                best = min(best, res)
-        if not forks:
-            break
-    return _exhausted(best)
+    found = descend(0, [1.0] * m, [0] * m, _NO_PART)
+    # descend holds itself through its closure: drop it, so that this walk's
+    # lists are freed now and not by a later full garbage collection
+    del descend
+    return found, best
 
 
 def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
@@ -475,8 +478,9 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     only to modes with its labels within the label band; when that leaves a
     choice and a mean is nonzero, also with its holonomies within the
     holonomy band. A mode left without one: "mode fingerprints". When every
-    mode is left one, :func:`_settle` decides without backtracking wherever
-    it can.
+    mode is left one, :func:`_walk` first runs without its per-mode tests;
+    only when the leaves it reaches all fail does a second, full walk find
+    which of them the search reaches, for ``best_residual``.
     """
     m = rho.modes
     # each mode's mean (x, p) as the complex number x + i p
@@ -505,73 +509,21 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     strong.flat[:: m + 1] = False
     order, parent = _bfs_order(strong.tolist())
     parts = (p.tolist(), q.tolist(), d.tolist())
+    walk = functools.partial(_walk, rho, sigma, accept, anchor, parts)
     if pairs == m:
         # the labels pin the permutation: no choice of target is left to search
-        pinned = compatible.argmax(axis=1).tolist()
-        settled = _settle(rho, sigma, accept, anchor, parts, pinned, order, parent)
-        if settled is not None:
-            return settled
-    compatible = compatible.tolist()
-    perm = [-1] * m
-    used = [False] * m
-    best = math.inf
-
-    def place(pos: int, u: list, sgn: list, weak):
-        # weak: the strongest part on w seen while w is free, all below anchor
-        nonlocal best
-        if _size(weak) > 0.0 and (pos == m or parent[order[pos]] is None):
-            # the component ends with w free: its strongest weak part fixes w
-            for w in _roots(weak):
-                u_w = [z * w**s for z, s in zip(u, sgn)]
-                found = place(pos, u_w, [0] * m, _NO_PART)
-                if found is not None:
-                    return found
-            return None
-        if pos == m:
-            res, found = _leaf(rho, sigma, accept, perm, u)
-            best = min(best, res)
-            return found
-        j = order[pos]
-        i = parent[j]
-        done = order[:pos]
-        for k in range(m):
-            if used[k] or not compatible[j][k]:
-                continue
-            u_k, s_k = list(u), list(sgn)
-            if i is None:
-                # a new component: the previous one's w is fixed by now
-                s_k = [0] * m
-                u_k[j], s_k[j] = 1.0, 1
-            else:
-                u_k[j], flip = _tree_phase(parts, perm, u, sgn, i, j, k)
-                s_k[j] = flip * s_k[i]
-            terms = _terms(parts, perm, u_k, s_k, done, j, k)
-            top = _top(terms)
-            if _size(top) > anchor:
-                ws, weak_k = _roots(top), _NO_PART
-            else:
-                ws, weak_k = [None], max(weak, top, key=_size)
-            for w in ws:
-                if not _fits(terms, w, accept):
-                    continue
-                perm[j], used[k] = k, True
-                if w is None:
-                    found = place(pos + 1, u_k, s_k, weak_k)
-                else:
-                    u_w = [z * w**s for z, s in zip(u_k, s_k)]
-                    found = place(pos + 1, u_w, [0] * m, _NO_PART)
-                used[k] = False
-                if found is not None:
-                    return found
-        return None
-
-    found = place(0, [1.0] * m, [0] * m, _NO_PART)
-    # place holds itself through its closure: drop it, so that this search's
-    # lists are freed now and not by a later full garbage collection
-    del place
+        targets = [[k] for k in compatible.argmax(axis=1).tolist()]
+        found, best = walk(targets, order, parent, False)
+        if found is None and best < math.inf:
+            found, best = walk(targets, order, parent, True)
+    else:
+        targets = [list(itertools.compress(range(m), row)) for row in compatible.tolist()]
+        found, best = walk(targets, order, parent, True)
     if found is not None:
         return found
-    return _exhausted(best)
+    return NotEquivalent(
+        witness="search exhausted", best_residual=None if math.isinf(best) else best
+    )
 
 
 def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float]:

@@ -115,14 +115,20 @@ def standard_form_spectra(
     Returns (v_plus, v_minus, pt_v_plus, pt_v_minus) where
     v_pm = sqrt((Delta pm sqrt(Delta^2 - 4 det V)) / 2) with
     Delta = a^2 + b^2 + 2 c d and det V = (ab - c^2)(ab - d^2); the partial
-    transpose flips the sign of the momentum correlation (d -> -d), so only
-    Delta changes.
+    transpose flips the sign of the momentum correlation (d -> -d). The
+    discriminant is taken as (a^2 - b^2)^2 + 4 (ac + bd)(bc + ad), which
+    rounds relative to its terms, not to Delta^2 as the difference does.
     """
-    det_v = (a * b - c * c) * (a * b - d_corr * d_corr)
+    split = ((a - b) * (a + b)) ** 2
 
-    def _pair(delta: float) -> tuple[float, float]:
-        disc = delta * delta - 4.0 * det_v
-        if disc < -1e-9:  # beyond rounding
+    def _pair(d: float) -> tuple[float, float]:
+        delta = a * a + b * b + 2.0 * c * d
+        # ac + bd = c (a - b) + b (c + d) and bc + ad = a (c + d) - c (a - b):
+        # a - b and c + d keep their digits where a ~ b and d ~ -c
+        t, s = c * (a - b), c + d
+        cross = 4.0 * (t + b * s) * (a * s - t)
+        disc = split + cross
+        if disc < -1e-12 * (split + abs(cross)):  # beyond rounding
             raise NumericError(
                 f"negative discriminant {disc:.3e}: parameters are unphysical"
             )
@@ -131,8 +137,8 @@ def standard_form_spectra(
         v_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
         return v_plus, v_minus
 
-    v_plus, v_minus = _pair(a * a + b * b + 2.0 * c * d_corr)
-    pt_plus, pt_minus = _pair(a * a + b * b - 2.0 * c * d_corr)
+    v_plus, v_minus = _pair(d_corr)
+    pt_plus, pt_minus = _pair(-d_corr)
     return v_plus, v_minus, pt_plus, pt_minus
 
 

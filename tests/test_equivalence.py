@@ -375,13 +375,15 @@ def _zero_mean_state(m, shape, kind, weak_mean, rng):
     ``kind`` "rotation" gives blocks c I (np.kron(c, I_2) on the couplings),
     "mixed" c I or c Z at random, so that a ring with an odd number of
     reflections fixes its w, "general" random 2x2 blocks; ``weak_mean`` is
-    put on mode 0's x.
+    put on mode 0's x. ``shape`` "two squeezed paths" also squeezes modes 0
+    and m // 2, the BFS roots of the two paths, so that each root keeps two
+    values of its component's w.
     """
     cov = np.kron(np.diag(rng.uniform(2.5, 3.5, size=m)), np.eye(2))
     edges = [(i, i + 1) for i in range(m - 1)]
     if shape == "ring" and m > 2:
         edges.append((m - 1, 0))
-    if shape == "two paths" and m > 3:
+    if shape in ("two paths", "two squeezed paths") and m > 3:
         edges.remove((m // 2 - 1, m // 2))
     for i, j in edges:
         if kind != "general":
@@ -391,6 +393,10 @@ def _zero_mean_state(m, shape, kind, weak_mean, rng):
             block = rng.normal(0.0, 0.25, size=(2, 2))
         cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
         cov[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = block.T
+    if shape == "two squeezed paths":
+        for i in (0, m // 2):
+            squeeze = rng.uniform(0.1, 0.3) * np.diag([1.0, -1.0])
+            cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] += squeeze
     mean = np.zeros(2 * m)
     mean[0] = weak_mean
     return gc.validate_state(cov, mean)
@@ -430,16 +436,25 @@ def _generic_pair(m, seed, mean_scale, rotated=False, noise=0.0):
     return rho, image
 
 
-def _settle_spy(monkeypatch):
-    """Make ``equivalence._settle`` record what it returns, in a list."""
-    returned, real = [], equivalence._settle
+def _walk_spy(monkeypatch):
+    """Make ``equivalence._walk`` record each walk's ``full`` and the
+    assignment it found, in a list."""
+    walks, real = [], equivalence._walk
 
     def spy(*args):
-        returned.append(real(*args))
-        return returned[-1]
+        found, best = real(*args)
+        walks.append((args[-1], found))
+        return found, best
 
-    monkeypatch.setattr(equivalence, "_settle", spy)
-    return returned
+    monkeypatch.setattr(equivalence, "_walk", spy)
+    return walks
+
+
+def _full_walks():
+    """Patch ``equivalence._walk`` to run every per-mode test on every walk,
+    as the search does on a permutation the labels leave open."""
+    real = equivalence._walk
+    return mock.patch.object(equivalence, "_walk", lambda *args: real(*args[:-1], True))
 
 
 class TestSearch:
@@ -589,7 +604,7 @@ class TestSearch:
         rho, sigma = _generic_pair(m, seed, mean_scale, rotated, noise)
         tol = None if rel is None else rel * max(1.0, float(np.linalg.norm(rho.cov)))
         settled = gc.decide_equivalence(rho, sigma, tol=tol)
-        with mock.patch.object(equivalence, "_settle", lambda *args: None):
+        with _full_walks():
             searched = gc.decide_equivalence(rho, sigma, tol=tol)
         # verdict, certificate, residual and best residual, bit for bit
         assert repr(settled) == repr(searched)
@@ -598,7 +613,7 @@ class TestSearch:
     @given(
         m=st.integers(2, 12),
         seed=st.integers(0, 2**32 - 1),
-        shape=st.sampled_from(["path", "ring", "two paths"]),
+        shape=st.sampled_from(["path", "ring", "two paths", "two squeezed paths"]),
         kind=st.sampled_from(["rotation", "mixed", "general"]),
         weak_mean=st.booleans(),
         noise_rel=st.sampled_from([(0.0, None), (1e-9, 1e-6), (1e-7, None), (1e-5, 1e-3)]),
@@ -608,7 +623,8 @@ class TestSearch:
         self, m, seed, shape, kind, weak_mean, noise_rel, planted
     ):
         # zero-mean isotropic states: no root has a part above the anchor, so
-        # w is fixed mid-walk by a reflection part, by the weak mean, or never
+        # w is fixed mid-walk by a reflection part, by the weak mean, or never;
+        # or two squeezed roots each keep two values of w
         noise, rel = noise_rel
         rng = np.random.default_rng(seed)
         rho = _zero_mean_state(m, shape, kind, 3e-7 if weak_mean else 0.0, rng)
@@ -621,33 +637,36 @@ class TestSearch:
         sigma = gc.validate_state(image, sigma.mean)
         tol = None if rel is None else rel * rho.scale
         settled = gc.decide_equivalence(rho, sigma, tol=tol)
-        with mock.patch.object(equivalence, "_settle", lambda *args: None):
+        with _full_walks():
             searched = gc.decide_equivalence(rho, sigma, tol=tol)
         assert repr(settled) == repr(searched)
 
     def test_settle_decides_generic_pairs_and_zero_mean_paths(self, monkeypatch):
-        returned = _settle_spy(monkeypatch)
+        walks = _walk_spy(monkeypatch)
         planted = gc.decide_equivalence(*_generic_pair(6, 6, 1.0))
-        # a mean small enough to keep x^t V x within its band reaches the leaf
+        assert isinstance(planted, gc.Equivalent)
+        # a mean small enough to keep x^t V x within its band reaches the walk,
+        # and the rotated mode's mean test prunes the one leaf
         rotated = gc.decide_equivalence(*_generic_pair(6, 6, 0.01, rotated=True))
-        assert isinstance(planted, gc.Equivalent) and returned[0] == planted
-        assert rotated.witness == "search exhausted" and returned[1] == rotated
+        assert rotated == gc.NotEquivalent(witness="search exhausted", best_residual=None)
         # distinct couplings pin the path, and no part fixes w: an exact gauge,
         # so w stays 1 and one residual decides
         rho = gc.validate_state(_isotropic_path(8), np.zeros(16))
         sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(8, np.random.default_rng(8)), rho)
         path = gc.decide_equivalence(rho, sigma)
-        assert isinstance(path, gc.Equivalent) and returned[2] == path
+        assert isinstance(path, gc.Equivalent)
         # two components, each with a squeezed mode whose reflection part keeps
-        # two values of w: the search takes the pair
+        # two values of w: one walk tries each choice, at most four leaves
         cov = _isotropic_path(6)
         cov[6:8, 4:6] = cov[4:6, 6:8] = 0.0
         cov[0:2, 0:2] = np.diag([3.2, 2.8])
         cov[6:8, 6:8] = np.diag([3.3, 2.7])
         rho = gc.validate_state(cov, np.zeros(12))
         sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(6, np.random.default_rng(6)), rho)
-        assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
-        assert returned[3:] == [None]
+        forked = gc.decide_equivalence(rho, sigma)
+        assert isinstance(forked, gc.Equivalent)
+        # each pinned pair takes one walk without the per-mode tests
+        assert walks == [(False, planted), (False, None), (False, path), (False, forked)]
 
     def test_a_settled_pair_takes_one_matrix_norm(self, monkeypatch):
         # every tolerance reads state.scale: only the leaf residual's ||.||_F is
@@ -661,9 +680,10 @@ class TestSearch:
             return real(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", spy)
-        returned = _settle_spy(monkeypatch)
-        assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
-        assert returned[0] is not None
+        walks = _walk_spy(monkeypatch)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.Equivalent)
+        assert walks == [(False, verdict)]
         assert ndims == [2]
         # rejected at x^t V x: no norm at all
         ndims.clear()
@@ -702,10 +722,12 @@ class TestSearch:
         # past the spectrum stage, below the moved block
         tol = 1.5 * float(np.max(np.abs(rho.spectrum - other.spectrum)))
         assert tol < equivalence._residual(rho, other, planted)
-        returned = _settle_spy(monkeypatch)
+        walks = _walk_spy(monkeypatch)
         verdict = gc.decide_equivalence(rho, other, tol=tol)
         assert verdict == gc.NotEquivalent(witness="search exhausted", best_residual=None)
-        assert returned == [verdict]
+        # the walk without per-mode tests reaches the leaf, which fails; the
+        # full walk, which gives best_residual, rejects mode 4 before it
+        assert walks == [(False, None), (True, None)]
 
 
 def _moved(rho, r, rng):

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,49 @@ class TestStandardFormSpectra:
         direct = gc.standard_form_spectra(a, b, c, -d)
         assert pt_plus == pytest.approx(direct[0], abs=1e-12)
         assert pt_minus == pytest.approx(direct[1], abs=1e-12)
+
+    def test_near_degenerate_state_does_not_raise(self):
+        # Delta^2 - 4 det V rounds at about eps Delta^2 = 2 here, and read -3.0
+        params = (12002.391000117168, 12002.391000104304, -10076.558927890539, 10076.558932518812)
+        spectrum = gc.two_mode_standard_form(*params).spectrum
+        v_plus, v_minus, _, _ = gc.standard_form_spectra(*params)
+        assert v_plus == pytest.approx(spectrum[1], rel=1e-12)
+        assert v_minus == pytest.approx(spectrum[0], rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_degenerate_sweep_within_rounding(self, seed):
+        # a ~ b up to 1e5 and d ~ -c; every nu^2 is within a few eps of the
+        # size of Delta's terms of its value in 60-digit arithmetic
+        def exact(a, b, c, d):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                a, b, c, d = map(Decimal, (a, b, c, d))
+                delta = a * a + b * b + 2 * c * d
+                root = (delta * delta - 4 * (a * b - c * c) * (a * b - d * d)).sqrt()
+                return [float((delta + root) / 2), float((delta - root) / 2)]
+
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(250):
+            a = 10.0 ** rng.uniform(0.0, 5.0)
+            b = a * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -3.0))
+            c = rng.uniform(-1.0, 1.0) * np.sqrt(a * b)
+            d = -c * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -3.0))
+            try:
+                gc.two_mode_standard_form(a, b, c, d)
+            except gc.UncertaintyViolationError:
+                continue
+            got = np.square(gc.standard_form_spectra(a, b, c, d))
+            want = exact(a, b, c, d) + exact(a, b, c, -d)
+            size = a * a + b * b + 2.0 * abs(c * d)
+            assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * size
+            checked += 1
+        assert checked > 200
+
+    def test_unphysical_parameters_raise(self):
+        # 2 |c| > a + b with d = -c: Omega V has real eigenvalues
+        with pytest.raises(gc.NumericError, match="negative discriminant"):
+            gc.standard_form_spectra(1.0, 3.0, 2.5, -2.5)
 
     def test_entangled_state_has_pt_value_below_one(self):
         # pure maximally-correlated standard form violates the PT criterion
