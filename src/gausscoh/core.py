@@ -16,15 +16,11 @@ import numpy as np
 from .errors import (
     NonFiniteError,
     NotSymmetricError,
-    NumericError,
     ShapeError,
     UncertaintyViolationError,
 )
 
 DEFAULT_TOL_REL = 1e-9
-
-#: tolerance used when pairing the +-iv eigenvalues of Omega V
-PAIRING_TOL = 1e-8
 
 
 def checked_tol(raw) -> float:
@@ -82,8 +78,10 @@ class GaussianState:
     relation. ``modes``, the read-only symplectic ``spectrum`` and
     ``scale`` = max(1, ||V||_F), which every tolerance on the state is
     relative to, are derived from the covariance once, when the state is
-    built. ``cross_bound`` is derived when it is first read and kept on the
-    state, so building a state never takes it.
+    built. The spectrum comes from V's Cholesky factor, so a state built
+    directly on a V that is not positive definite raises
+    :class:`numpy.linalg.LinAlgError`. ``cross_bound`` is derived when it is
+    first read and kept on the state, so building a state never takes it.
     """
 
     cov: np.ndarray
@@ -97,7 +95,7 @@ class GaussianState:
         self.cov.setflags(write=False)
         self.mean.setflags(write=False)
         object.__setattr__(self, "scale", max(1.0, float(np.linalg.norm(self.cov))))
-        spectrum = _symplectic_spectrum(self.cov, self.scale)
+        spectrum = _symplectic_spectrum(self.cov)
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -135,10 +133,11 @@ def validate_state(
 
     Every entry must be finite. The covariance is symmetrized as
     (V + V^t)/2 when the asymmetry is within tolerance. The uncertainty
-    relation then requires V positive definite (its lowest eigenvalue
-    >= -tol) and the minimum symplectic eigenvalue >= 1 - tol. A Cholesky
-    factor proves the first, as no eigenvalue of a V it factors lies below
-    about -2m eps ||V||; only a V it fails on takes ``eigvalsh``.
+    relation then requires V positive definite and the minimum symplectic
+    eigenvalue >= 1 - tol. The state's Cholesky factor proves the first and
+    gives the spectrum; a V it fails on has no spectrum and is rejected,
+    as not positive definite when ``eigvalsh`` finds an eigenvalue below
+    -tol, else as singular to working precision.
     """
     cov = np.asarray(cov, dtype=float)
     mean = np.asarray(mean, dtype=float)
@@ -160,17 +159,16 @@ def validate_state(
             f"covariance asymmetry {asym:.3e} exceeds tolerance {t:.3e}"
         )
     cov = (cov + cov.T) / 2.0
-    # Williamson's theorem needs V > 0, and the spectrum's moduli hide the sign
     try:
-        np.linalg.cholesky(cov)
+        state = GaussianState(cov=cov, mean=mean.copy())
     except np.linalg.LinAlgError:
         lowest = float(np.linalg.eigvalsh(cov)[0])
-        if lowest < -t:
-            raise UncertaintyViolationError(
-                f"covariance has eigenvalue {lowest:.12g} and is not positive definite",
-                value=lowest,
-            ) from None
-    state = GaussianState(cov=cov, mean=mean.copy())
+        kind = "not positive definite"
+        if lowest >= -t:
+            kind = "singular to working precision"
+        raise UncertaintyViolationError(
+            f"covariance has eigenvalue {lowest:.12g} and is {kind}", value=lowest
+        ) from None
     if state.spectrum[0] < 1.0 - t:
         raise UncertaintyViolationError(
             f"minimum symplectic eigenvalue {state.spectrum[0]:.12g} violates the "
@@ -180,34 +178,21 @@ def validate_state(
     return state
 
 
-def _symplectic_spectrum(cov: np.ndarray, scale: float) -> np.ndarray:
+def _symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of ``cov``, sorted ascending.
 
-    The moduli of the purely imaginary, +-paired eigenvalues of Omega V; a
-    pairing broken by more than ``PAIRING_TOL * scale`` raises
-    :class:`NumericError` instead of silently sorting.
+    With V = L L^t, L^t Omega L is similar to Omega V and real antisymmetric,
+    so i L^t Omega L is Hermitian with eigenvalues -nu_m, ..., -nu_1, nu_1,
+    ..., nu_m in the ascending order ``eigvalsh`` returns. A V that is not
+    positive definite has no factor: :class:`numpy.linalg.LinAlgError`.
     """
     m = cov.shape[0] // 2
-    # Omega V swaps each row pair and negates its second row; adding +0.0
-    # gives signed zeros exactly as the product symplectic_form(m) @ cov does
-    omega_cov = np.empty_like(cov)
-    omega_cov[0::2] = cov[1::2] + 0.0
-    omega_cov[1::2] = 0.0 - cov[0::2]
-    try:
-        eigs = np.linalg.eigvals(omega_cov)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericError(f"eigenvalue computation failed: {exc}") from exc
-    pairing_tol = PAIRING_TOL * scale
-    if np.max(np.abs(eigs.real)) > pairing_tol:
-        raise NumericError(
-            "eigenvalues of Omega V are not purely imaginary "
-            f"(max real part {np.max(np.abs(eigs.real)):.3e})"
-        )
-    imag = np.sort(eigs.imag)
-    neg, pos = imag[:m], imag[m:]
-    if np.max(np.abs(pos + neg[::-1])) > pairing_tol:
-        raise NumericError("eigenvalues of Omega V do not come in +-iv pairs")
-    return np.sort(pos)
+    factor = np.linalg.cholesky(cov)
+    # Omega L swaps each row pair of L and negates its second row
+    omega_factor = np.empty_like(factor)
+    omega_factor[0::2] = factor[1::2]
+    omega_factor[1::2] = -factor[0::2]
+    return np.linalg.eigvalsh(1j * (factor.T @ omega_factor))[m:]
 
 
 def williamson_spectrum(state: GaussianState) -> np.ndarray:

@@ -20,8 +20,9 @@ class NotSymmetricError(GaussCohError):
 class UncertaintyViolationError(GaussCohError):
     """Covariance matrix violates the uncertainty relation.
 
-    ``value`` carries the lowest eigenvalue of a V that is not positive
-    definite, or else the lowest symplectic eigenvalue.
+    ``value`` carries the lowest eigenvalue of a V with no Cholesky factor
+    (not positive definite, or singular to working precision), or else the
+    lowest symplectic eigenvalue.
     """
 
     def __init__(self, message, value=None):

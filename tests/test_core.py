@@ -1,8 +1,9 @@
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gausscoh as gc
@@ -62,6 +63,17 @@ class TestValidateState:
             gc.validate_state(cov, np.zeros(len(cov)))
         assert err.value.value == pytest.approx(-3.0)
 
+    @pytest.mark.parametrize(
+        "cov",
+        [np.diag([2e9, 0.0]), np.diag([0.0, 2e9, 1.0, 1.0])],
+        ids=["one-mode", "two-mode"],
+    )
+    def test_singular_rejected_at_any_norm(self, cov):
+        # t = 1e-9 ||V||_F exceeds 1 here, so nu >= 1 - t alone would accept nu = 0
+        with pytest.raises(gc.UncertaintyViolationError, match="singular to working") as err:
+            gc.validate_state(cov, np.zeros(len(cov)))
+        assert err.value.value == 0.0
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.sampled_from([2, 4, 8, 16]),
@@ -78,15 +90,20 @@ class TestValidateState:
         cov = q @ np.diag(eigs) @ q.T
         want = float(np.linalg.eigvalsh((cov + cov.T) / 2.0)[0])
         rejected = want < -default_tol(cov)
-        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solved:
+        with (
+            mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factored,
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solved,
+        ):
             try:
                 gc.validate_state(cov, np.zeros(n))
                 error = None
-            except (gc.UncertaintyViolationError, gc.NumericError) as exc:
+            except gc.UncertaintyViolationError as exc:
                 error = exc
-        # a V with every eigenvalue clear of rounding takes no eigvalsh
+        assert factored.call_count == 1
+        # a V with every eigenvalue clear of rounding takes no eigvalsh of V
+        # itself: the one solve is the spectrum's, on a complex Hermitian matrix
         if lowest > 0.5:
-            assert not solved.called
+            assert [np.iscomplexobj(c.args[0]) for c in solved.call_args_list] == [True]
         if rejected:
             assert "not positive definite" in str(error)
             assert error.value == want
@@ -169,7 +186,7 @@ class TestWilliamsonSpectrum:
 
 
 def _fresh_spectrum(cov):
-    """The symplectic spectrum from a new eigen-solve of Omega V."""
+    """The symplectic spectrum from an independent, non-symmetric solve of Omega V."""
     m = cov.shape[0] // 2
     imag = np.sort(np.linalg.eigvals(gc.symplectic_form(m) @ cov).imag)
     return np.sort(imag[m:])
@@ -191,10 +208,37 @@ class TestStoredSpectrum:
             flip[1] = -1.0
             cov = state.cov * np.outer(flip, flip)
             state = gc.GaussianState(cov=cov, mean=state.mean.copy())
-        np.testing.assert_array_equal(state.spectrum, _fresh_spectrum(state.cov))
+        # both solves are backward stable; up to m = 128 they differed by at
+        # most 11 eps * scale
+        bound = 64 * np.finfo(float).eps * state.scale
+        fresh = _fresh_spectrum(state.cov)
+        np.testing.assert_allclose(state.spectrum, fresh, rtol=0, atol=bound)
         assert gc.williamson_spectrum(state) is state.spectrum
         with pytest.raises(ValueError):
             state.spectrum[0] = 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.floats(0.0, 8.0),
+        nu=st.floats(1.0, 3.0),
+        theta=st.floats(0.0, 2 * np.pi),
+    )
+    @example(r=8.0, nu=1.0, theta=0.7)
+    def test_one_mode_within_rounding_under_strong_squeezing(self, r, nu, theta):
+        # nu^2 = det V, and a backward error of eps ||V|| in V moves det V by
+        # about eps lambda_max^2, so nu by eps lambda_max^2 / (2 nu): at r = 8
+        # that is 1 % of nu, the float64 limit of a strongly squeezed state
+        squeezed = np.diag([np.exp(2 * r), np.exp(-2 * r)])
+        cov = nu * rotation(theta) @ squeezed @ rotation(theta).T
+        cov = (cov + cov.T) / 2.0
+        state = gc.GaussianState(cov=cov, mean=np.zeros(2))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a, b, c = map(Decimal, (cov[0, 0], cov[1, 0], cov[1, 1]))
+            exact = float((a * c - b * b).sqrt())
+        lambda_max = np.linalg.eigvalsh(cov)[-1]
+        bound = 2 * np.finfo(float).eps * lambda_max**2 / exact
+        assert abs(state.spectrum[0] - exact) <= bound
 
     @settings(max_examples=60, deadline=None)
     @given(

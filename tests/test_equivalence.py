@@ -28,7 +28,8 @@ def test_decide_solves_no_spectrum(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("an eigenproblem was solved")
 
-    monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+    for name in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_solve)
     assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
     assert gc.decide_equivalence(rho, other).witness == "symplectic spectrum"
 
