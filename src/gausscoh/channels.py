@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     GaussianState,
     block_norms,
+    checked_arrays,
     default_tol,
     is_incoherent_state,
     isotropic_split,
@@ -23,21 +24,15 @@ from .core import (
     symplectic_form,
     validate_state,
 )
-from .errors import (
-    NonFiniteError,
-    NotCompletelyPositiveError,
-    NotFaithfulError,
-    NotSymmetricError,
-    NumericError,
-    ShapeError,
-)
+from .errors import NotCompletelyPositiveError, NotFaithfulError, NumericError, ShapeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianChannel:
     """Immutable validated Gaussian channel (T, N, shift).
 
-    Construct via :func:`validate_channel`.
+    Construct via :func:`validate_channel`. Channels compare and hash by
+    identity, like states.
     """
 
     T: np.ndarray
@@ -45,9 +40,8 @@ class GaussianChannel:
     shift: np.ndarray
 
     def __post_init__(self):
-        self.T.setflags(write=False)
-        self.N.setflags(write=False)
-        self.shift.setflags(write=False)
+        for a in (self.T, self.N, self.shift):
+            a.setflags(write=False)
 
     @property
     def modes(self) -> int:
@@ -106,25 +100,10 @@ class Classification:
 def validate_channel(
     T: np.ndarray, N: np.ndarray, shift: np.ndarray, tol: float | None = None
 ) -> GaussianChannel:
-    """Validate a (T, N, shift) triple against the complete-positivity condition."""
-    T = np.asarray(T, dtype=float)
-    N = np.asarray(N, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-    if not all(np.isfinite(a).all() for a in (T, N, shift)):
-        raise NonFiniteError("T, N and shift must be finite")
-    if T.ndim != 2 or T.shape[0] != T.shape[1] or T.shape[0] % 2 != 0 or T.shape[0] == 0:
-        raise ShapeError(f"T must be 2m x 2m with m >= 1, got shape {T.shape}")
-    n = T.shape[0]
-    if N.shape != (n, n):
-        raise ShapeError(f"N must match T's shape {T.shape}, got {N.shape}")
-    if shift.shape != (n,):
-        raise ShapeError(f"shift must have length {n}, got shape {shift.shape}")
-    t = default_tol(N, tol)
-    asym = np.max(np.abs(N - N.T))
-    if asym > t:
-        raise NotSymmetricError(f"N asymmetry {asym:.3e} exceeds tolerance {t:.3e}")
-    N = (N + N.T) / 2.0
-    omega = symplectic_form(n // 2)
+    """Check (T, N, shift) with :func:`gausscoh.core.checked_arrays`, which
+    symmetrizes N, then against the complete-positivity condition."""
+    (T, N, shift), _ = checked_arrays({"T": T, "N": N}, {"shift": shift}, tol)
+    omega = symplectic_form(T.shape[0] // 2)
     herm = N + 1j * (omega - T @ omega @ T.T)
     min_eig = float(np.min(np.linalg.eigvalsh(herm)))
     cp_tol = default_tol(np.block([[T], [N]]), tol)
@@ -133,7 +112,7 @@ def validate_channel(
             f"complete positivity violated: min eigenvalue {min_eig:.6g}",
             min_eigenvalue=min_eig,
         )
-    return GaussianChannel(T=T, N=N, shift=shift.copy())
+    return GaussianChannel(T=T, N=N, shift=shift)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:

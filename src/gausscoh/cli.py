@@ -275,7 +275,8 @@ def run(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         _emit_error("numeric-error", exc)
         return EXIT_NUMERIC
-    except (GaussCohError, OSError, ValueError) as exc:
+    # RecursionError: a JSON document nested too deeply to parse
+    except (GaussCohError, OSError, ValueError, RecursionError) as exc:
         _emit_error(type(exc).__name__, exc)
         return EXIT_INPUT
     print(ser.dumps(doc, pretty=args.pretty))

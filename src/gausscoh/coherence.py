@@ -26,9 +26,9 @@ def _g(x: float) -> float:
     return float(math.log1p(x) + x * math.log1p(1.0 / x)) / math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceReport:
-    """Coherence summary of a state.
+    """Coherence summary of a state; reports compare and hash by identity.
 
     Attributes:
         n_bar: per-mode mean photon numbers.

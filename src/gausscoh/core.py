@@ -47,6 +47,34 @@ def default_tol(cov: np.ndarray, tol: float | None = None) -> float:
     return DEFAULT_TOL_REL * max(1.0, float(np.linalg.norm(cov)))
 
 
+def checked_arrays(matrices: dict, vectors: dict, tol: float | None = None) -> tuple:
+    """The named arrays of one m-mode object as float copies, checked in order.
+
+    Every entry must be finite (:class:`NonFiniteError`). The first matrix
+    must be 2m x 2m with m >= 1, every other matrix of its shape and every
+    vector of length 2m (:class:`ShapeError`). The last matrix A must be
+    symmetric within ``t = default_tol(A, tol)`` (:class:`NotSymmetricError`)
+    and comes back as (A + A^t)/2. Returns the arrays, matrices first, and t.
+    """
+    names = [*matrices, *vectors]
+    arrays = [np.array(a, dtype=float) for a in (*matrices.values(), *vectors.values())]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteError(f"{', '.join(names[:-1])} and {names[-1]} must be finite")
+    shape, last = arrays[0].shape, len(matrices) - 1
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 != 0 or shape[0] == 0:
+        raise ShapeError(f"{names[0]} must be 2m x 2m with m >= 1, got shape {shape}")
+    for k, (name, a) in enumerate(zip(names, arrays)):
+        want = shape if k <= last else shape[:1]
+        if a.shape != want:
+            raise ShapeError(f"{name} must have shape {want} to match {names[0]}, got {a.shape}")
+    a = arrays[last]
+    t, asym = default_tol(a, tol), np.max(np.abs(a - a.T))
+    if asym > t:
+        raise NotSymmetricError(f"{names[last]} asymmetry {asym:.3e} exceeds tolerance {t:.3e}")
+    arrays[last] = (a + a.T) / 2.0
+    return arrays, t
+
+
 def symplectic_form(m: int) -> np.ndarray:
     """Return the 2m x 2m symplectic form, a direct sum of [[0,1],[-1,0]]."""
     if m < 1:
@@ -69,7 +97,7 @@ def _cross_mask(m: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Immutable validated Gaussian state (V, d).
 
@@ -82,18 +110,20 @@ class GaussianState:
     directly on a V that is not positive definite raises
     :class:`numpy.linalg.LinAlgError`. ``cross_bound`` is derived when it is
     first read and kept on the state, so building a state never takes it.
+    States compare and hash by identity: two states built from equal arrays
+    are distinct objects, and either can be a set member or a dict key.
     """
 
     cov: np.ndarray
     mean: np.ndarray
     modes: int = field(init=False)
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    scale: float = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
+    scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", self.cov.shape[0] // 2)
-        self.cov.setflags(write=False)
-        self.mean.setflags(write=False)
+        for a in (self.cov, self.mean):
+            a.setflags(write=False)
         object.__setattr__(self, "scale", max(1.0, float(np.linalg.norm(self.cov))))
         spectrum = _symplectic_spectrum(self.cov)
         spectrum.setflags(write=False)
@@ -131,36 +161,16 @@ def validate_state(
 ) -> GaussianState:
     """Validate (cov, mean) and return an immutable :class:`GaussianState`.
 
-    Every entry must be finite. The covariance is symmetrized as
-    (V + V^t)/2 when the asymmetry is within tolerance. The uncertainty
-    relation then requires V positive definite and the minimum symplectic
+    :func:`checked_arrays` checks the entries and shapes and symmetrizes
+    V. The uncertainty relation then requires V positive definite and the minimum symplectic
     eigenvalue >= 1 - tol. The state's Cholesky factor proves the first and
     gives the spectrum; a V it fails on has no spectrum and is rejected,
     as not positive definite when ``eigvalsh`` finds an eigenvalue below
     -tol, else as singular to working precision.
     """
-    cov = np.asarray(cov, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    if not (np.isfinite(cov).all() and np.isfinite(mean).all()):
-        raise NonFiniteError("covariance and mean must be finite")
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ShapeError(f"covariance must be a square matrix, got shape {cov.shape}")
-    n = cov.shape[0]
-    if n % 2 != 0 or n == 0:
-        raise ShapeError(f"covariance must be 2m x 2m with m >= 1, got {n} x {n}")
-    if mean.shape != (n,):
-        raise ShapeError(
-            f"mean must have length {n} to match covariance, got shape {mean.shape}"
-        )
-    t = default_tol(cov, tol)
-    asym = np.max(np.abs(cov - cov.T))
-    if asym > t:
-        raise NotSymmetricError(
-            f"covariance asymmetry {asym:.3e} exceeds tolerance {t:.3e}"
-        )
-    cov = (cov + cov.T) / 2.0
+    (cov, mean), t = checked_arrays({"covariance": cov}, {"mean": mean}, tol)
     try:
-        state = GaussianState(cov=cov, mean=mean.copy())
+        state = GaussianState(cov=cov, mean=mean)
     except np.linalg.LinAlgError:
         lowest = float(np.linalg.eigvalsh(cov)[0])
         kind = "not positive definite"

@@ -14,6 +14,11 @@ from .core import GaussianState, rotation, validate_state
 from .equivalence import IncoherentUnitary, apply_incoherent_unitary, check_hypothesis
 from .errors import UncertaintyViolationError
 
+#: Williamson values of :func:`random_state` are drawn from 1 + U(0, MAX_THERMAL)
+MAX_THERMAL = 1.5
+#: rotation-squeezer layers, each followed by a chain of beam splitters
+MIXING_LAYERS = 2
+
 
 @dataclass(frozen=True)
 class RandomStateRecipe:
@@ -28,16 +33,15 @@ class RandomStateRecipe:
     seed: int
     mean_scale: float = 1.0
     max_squeeze: float = 0.8
-    max_thermal: float = 1.5
-    mixing_layers: int = 2
     hypothesis: bool = True
 
 
-def random_symplectic(m: int, rng: np.random.Generator, max_squeeze: float = 0.8,
-                      layers: int = 2) -> np.ndarray:
+def random_symplectic(
+    m: int, rng: np.random.Generator, max_squeeze: float = 0.8
+) -> np.ndarray:
     """Random symplectic as a product of rotations, squeezers, and mixers."""
     s = np.eye(2 * m)
-    for _ in range(layers):
+    for _ in range(MIXING_LAYERS):
         local = np.zeros((2 * m, 2 * m))
         for i in range(m):
             theta = rng.uniform(0.0, 2.0 * np.pi)
@@ -70,8 +74,8 @@ def random_state(recipe: RandomStateRecipe) -> GaussianState:
     rng = np.random.default_rng(recipe.seed)
     m = recipe.modes
     for _ in range(64):
-        s = random_symplectic(m, rng, recipe.max_squeeze, recipe.mixing_layers)
-        v = 1.0 + rng.uniform(0.0, recipe.max_thermal, size=m)
+        s = random_symplectic(m, rng, recipe.max_squeeze)
+        v = 1.0 + rng.uniform(0.0, MAX_THERMAL, size=m)
         cov = s @ np.diag(np.repeat(v, 2)) @ s.T
         mean = rng.normal(0.0, recipe.mean_scale, size=2 * m)
         state = validate_state(cov, mean)

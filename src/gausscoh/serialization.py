@@ -7,6 +7,7 @@ Channel: {"modes": m, "T": [[...]], "N": [[...]], "shift": [...]}
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -25,16 +26,7 @@ def state_to_dict(state: GaussianState) -> dict:
 
 
 def state_from_dict(doc: dict, tol: float | None = None) -> GaussianState:
-    try:
-        modes = int(doc["modes"])
-        mean = np.asarray(doc["mean"], dtype=float)
-        cov = np.asarray(doc["cov"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ShapeError(f"malformed state document: {exc}") from exc
-    if cov.shape != (2 * modes, 2 * modes):
-        raise ShapeError(
-            f"state document declares {modes} modes but cov has shape {cov.shape}"
-        )
+    cov, mean = _read(doc, "state", "cov", "mean")
     return validate_state(cov, mean, tol)
 
 
@@ -48,18 +40,27 @@ def channel_to_dict(channel: GaussianChannel) -> dict:
 
 
 def channel_from_dict(doc: dict, tol: float | None = None) -> GaussianChannel:
-    try:
-        modes = int(doc["modes"])
-        T = np.asarray(doc["T"], dtype=float)
-        N = np.asarray(doc["N"], dtype=float)
-        shift = np.asarray(doc["shift"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ShapeError(f"malformed channel document: {exc}") from exc
-    if T.shape != (2 * modes, 2 * modes):
-        raise ShapeError(
-            f"channel document declares {modes} modes but T has shape {T.shape}"
-        )
+    T, N, shift = _read(doc, "channel", "T", "N", "shift")
     return validate_channel(T, N, shift, tol)
+
+
+def _read(doc: dict, kind: str, lead: str, *rest: str) -> list[np.ndarray]:
+    """The arrays of a ``kind`` document, ``lead`` first; :class:`ShapeError`
+    unless it is an object, every entry a float, ``modes`` an integer (not
+    ``true`` or ``1.0``) and ``lead`` of shape (2 modes, 2 modes)."""
+    try:
+        modes = doc["modes"]
+        arrays = [np.asarray(doc[key], dtype=float) for key in (lead, *rest)]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"malformed {kind} document: {exc}") from exc
+    if isinstance(modes, bool) or not isinstance(modes, numbers.Integral):
+        raise ShapeError(f"malformed {kind} document: modes must be an integer, got {modes!r}")
+    if arrays[0].shape != (2 * modes, 2 * modes):
+        raise ShapeError(
+            f"{kind} document declares {modes} modes but {lead} has shape "
+            f"{arrays[0].shape}"
+        )
+    return arrays
 
 
 def load_state(path: str | Path, tol: float | None = None) -> GaussianState:

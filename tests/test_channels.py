@@ -40,6 +40,38 @@ class TestValidateChannel:
         with pytest.raises(gc.ShapeError):
             gc.validate_channel(np.eye(3), np.eye(3), np.zeros(3))
 
+        with pytest.raises(gc.ShapeError, match="shift must have"):
+            gc.validate_channel(np.eye(2), np.eye(2), np.zeros(3))
+
+    def test_asymmetric_noise_rejected(self):
+        N = np.array([[1.0, 1e-3], [0.0, 1.0]])
+        with pytest.raises(gc.NotSymmetricError, match="N asymmetry"):
+            gc.validate_channel(np.eye(2), N, np.zeros(2))
+        # a shape fault of T or the shift is reported first
+        with pytest.raises(gc.ShapeError):
+            gc.validate_channel(np.eye(2), N, np.zeros(3))
+        with pytest.raises(gc.ShapeError):
+            gc.validate_channel(np.eye(4), N, np.zeros(4))
+        # within tolerance it is symmetrized
+        N[0, 1] = 1e-12
+        np.testing.assert_array_equal(
+            gc.validate_channel(np.eye(2), N, np.zeros(2)).N, [[1.0, 5e-13], [5e-13, 1.0]]
+        )
+
+    def test_inputs_are_copied_not_frozen(self):
+        T, N, shift = np.eye(2), np.eye(2), np.zeros(2)
+        channel = gc.validate_channel(T, N, shift)
+        T[0, 0] = shift[0] = 3.0
+        assert channel.T[0, 0] == 1.0 and channel.shift[0] == 0.0
+        with pytest.raises(ValueError):
+            channel.T[0, 0] = 3.0
+
+    def test_equal_channels_are_distinct(self):
+        a, b = rotation_channel(0.3), rotation_channel(0.3)
+        assert a == a and a != b
+        assert a in [a] and a not in [b]
+        assert len({a, b}) == 2
+
 
 class TestApplyChannel:
     def test_identity_preserves_state(self):
@@ -173,6 +205,10 @@ class TestClassifyIncoherent:
 
 
 class TestRandomIgo:
+    def test_zero_modes_rejected(self):
+        with pytest.raises(ValueError, match="mode count must be positive"):
+            gc.random_igo(0, strict=True, rng=np.random.default_rng(0))
+
     def test_strict_classification(self):
         for seed in range(20):
             ch = gc.random_igo(3, strict=True, rng=np.random.default_rng(seed))

@@ -299,6 +299,100 @@ class TestExitCodes:
         assert code == 2
 
 
+STATE = {"modes": 1, "mean": [0, 0], "cov": [[2, 0], [0, 2]]}
+CHANNEL = {"modes": 1, "T": [[1, 0], [0, 1]], "N": [[0, 0], [0, 0]], "shift": [0, 0]}
+
+
+def _malformed(doc, key):
+    """Documents ``doc`` made malformed one way each, by id."""
+    return {
+        "missing-key": {k: v for k, v in doc.items() if k != key},
+        "non-numeric-entry": {**doc, key: [["a", 0], [0, 1]]},
+        "ragged": {**doc, key: [[1, 0], [0]]},
+        "too-large": {**doc, key: [[10**400, 0], [0, 1]]},
+        "non-object": [doc],
+        "modes-disagree": {**doc, "modes": 2},
+        "modes-float": {**doc, "modes": 1.7},
+        "modes-string": {**doc, "modes": "1"},
+        "modes-bool": {**doc, "modes": True},
+        "modes-null": {**doc, "modes": None},
+    }
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("case", list(_malformed(STATE, "cov")))
+    @pytest.mark.parametrize("command", ["validate", "coherence", "spectrum"])
+    def test_state(self, tmp_path, command, case):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_malformed(STATE, "cov")[case]))
+        code, out, err = run_cli([command, str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "ShapeError"
+
+    @pytest.mark.parametrize("case", list(_malformed(CHANNEL, "T")))
+    def test_channel(self, tmp_path, case):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_malformed(CHANNEL, "T")[case]))
+        code, out, err = run_cli(["classify", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "ShapeError"
+
+    @pytest.mark.parametrize("modes", [1.7, "1", True, 1.0])
+    def test_library_rejects_non_integer_modes(self, modes):
+        with pytest.raises(gc.ShapeError, match="modes must be an integer"):
+            ser.state_from_dict({**STATE, "modes": modes})
+        with pytest.raises(gc.ShapeError, match="modes must be an integer"):
+            ser.channel_from_dict({**CHANNEL, "modes": modes})
+
+    def test_numpy_integer_modes_accepted(self):
+        assert ser.state_from_dict({**STATE, "modes": np.int64(1)}).modes == 1
+
+    def test_too_deeply_nested_is_input_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(["validate", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "RecursionError"
+
+    def test_make_coherent_with_three_components_is_input_error(self):
+        code, out, err = run_cli(["make", "coherent", "--alpha", "1,2,3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "ValueError"
+
+
+class TestEquivDocuments:
+    """``equiv`` prints the library's verdict, whatever its kind."""
+
+    def _equiv(self, tmp_path, rho, sigma):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for state, path in zip((rho, sigma), paths):
+            ser.save_state(state, path)
+        code, out, _ = run_cli(["equiv", *map(str, paths)])
+        loaded = [ser.load_state(path) for path in paths]
+        return code, json.loads(out), gc.decide_equivalence(*loaded)
+
+    def test_hypothesis_violated(self, tmp_path):
+        # a product of a coherent and a vacuum mode: no cross block at all
+        product = gc.validate_state(np.eye(4), np.array([0.0, 0.0, 2.0, 0.0]))
+        code, doc, verdict = self._equiv(tmp_path, product, product)
+        assert isinstance(verdict, gc.HypothesisViolated)
+        assert code == 0
+        assert doc == {"verdict": "hypothesis-violated", "mode": 0, "reason": verdict.reason}
+
+    def test_not_equivalent_with_best_residual(self, tmp_path):
+        # noise on the image that each mode's checks let through, but not
+        # the whole residual: the search reaches complete assignments
+        rho, image, _ = noisy_planted_pair(19, 3e-8, 1e-3)
+        code, doc, verdict = self._equiv(tmp_path, rho, image)
+        assert verdict.best_residual is not None
+        assert code == 1
+        assert doc == {
+            "verdict": "not-equivalent",
+            "witness": verdict.witness,
+            "best_residual": verdict.best_residual,
+        }
+
+
 class TestToleranceControls:
     def test_flag_loosens_validation(self, tmp_path):
         # barely unphysical state accepted under a loose tolerance

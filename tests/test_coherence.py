@@ -38,6 +38,12 @@ class TestMeanPhotonNumbers:
     def test_thermal(self):
         assert gc.mean_photon_numbers(gc.thermal([2.0])) == [pytest.approx(2.0)]
 
+    def test_corrupted_state_raises(self):
+        # built directly, past validate_state: V = 0.5 I has n = -1/4
+        state = gc.GaussianState(cov=0.5 * np.eye(2), mean=np.zeros(2))
+        with pytest.raises(gc.InvariantViolationError, match="negative mean photon"):
+            gc.mean_photon_numbers(state)
+
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
@@ -89,6 +95,13 @@ class TestRelativeEntropyCoherence:
         report = gc.relative_entropy_coherence(state)
         assert gc.is_incoherent_state(report.reference) == pytest.approx(report.n_bar)
 
+    def test_reports_compare_by_identity(self):
+        state = gc.coherent(1.0)
+        a, b = gc.relative_entropy_coherence(state), gc.relative_entropy_coherence(state)
+        assert a == a and a != b
+        assert a in [a] and a not in [b]
+        assert len({a, b}) == 2
+
 
 class TestRelativeEntropyToThermal:
     def test_thermal_self_distance_zero(self):
@@ -107,6 +120,10 @@ class TestRelativeEntropyToThermal:
         value = gc.relative_entropy_to_thermal(gc.coherent(1.0), [2.0])
         assert value == pytest.approx(2 * np.log2(3) - 1.0)
         assert value > 2.0
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 1 reference occupations, got 2"):
+            gc.relative_entropy_to_thermal(gc.coherent(1.0), [1.0, 1.0])
 
     def test_rejects_unfaithful_reference(self):
         with pytest.raises(ValueError):

@@ -122,8 +122,28 @@ class TestValidateState:
     def test_shape_mismatch(self):
         with pytest.raises(gc.ShapeError):
             gc.validate_state(np.eye(2), np.zeros(4))
+        for cov in (np.eye(3), np.ones(4), np.ones((2, 4)), np.ones((2, 2, 2)), np.ones((0, 0))):
+            with pytest.raises(gc.ShapeError, match="covariance must be"):
+                gc.validate_state(cov, np.zeros(len(cov)))
+
+    def test_errors_keep_their_order(self):
+        # non-finite before shape, shape before asymmetry, asymmetry before
+        # the uncertainty relation, whichever array holds the fault
+        asym = np.array([[2.0, 0.5], [-0.5, 2.0]])
+        with pytest.raises(gc.NonFiniteError):
+            gc.validate_state(np.ones(3), np.array([np.nan]))
         with pytest.raises(gc.ShapeError):
-            gc.validate_state(np.eye(3), np.zeros(3))
+            gc.validate_state(asym, np.zeros(3))
+        with pytest.raises(gc.NotSymmetricError):
+            gc.validate_state(asym - 1.9 * np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="tolerance"):
+            gc.validate_state(asym, np.zeros(2), tol=-1.0)
+
+    def test_inputs_are_copied(self):
+        cov, mean = 2.0 * np.eye(2), np.ones(2)
+        state = gc.validate_state(cov, mean)
+        cov[0, 0] = mean[0] = 5.0
+        assert state.cov[0, 0] == 2.0 and state.mean[0] == 1.0
 
     def test_asymmetry_rejected(self):
         cov = np.array([[2.0, 0.5], [-0.5, 2.0]])
@@ -147,6 +167,16 @@ class TestValidateState:
         state = gc.vacuum()
         with pytest.raises(ValueError):
             state.cov[0, 0] = 5.0
+
+
+class TestIdentity:
+    def test_equal_states_are_distinct(self):
+        a, b = gc.coherent(1.0), gc.coherent(1.0)
+        assert a == a and a != b
+        assert a in [a, b] and a not in [b]
+        assert len({a, b, a}) == 2
+        assert {a: 1, b: 2}[b] == 2
+        assert hash(a) == hash(a)
 
 
 class TestWilliamsonSpectrum:

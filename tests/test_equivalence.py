@@ -62,6 +62,10 @@ class TestIncoherentUnitary:
         with pytest.raises(ValueError):
             gc.IncoherentUnitary(perm=(0, 0), angles=(0.0, 0.0))
 
+    def test_rejects_wrong_angle_count(self):
+        with pytest.raises(ValueError, match="one angle per mode"):
+            gc.IncoherentUnitary(perm=(1, 0), angles=(0.0,))
+
     @settings(max_examples=200, deadline=None)
     @given(
         perm_angles=st.integers(1, 16).flatmap(
@@ -115,6 +119,15 @@ class TestApplyIncoherentUnitary:
         assert gc.relative_entropy_coherence(out).c_rel_ent == pytest.approx(
             gc.relative_entropy_coherence(state).c_rel_ent, abs=1e-9
         )
+
+
+def test_mode_mismatch_rejected():
+    one, two = gc.coherent(1.0), random_state(RandomStateRecipe(modes=2, seed=0))
+    with pytest.raises(gc.ShapeError, match="unitary has 1 modes but state has 2"):
+        gc.apply_incoherent_unitary(gc.IncoherentUnitary(perm=(0,), angles=(0.1,)), two)
+    for decide in (gc.decide_equivalence, gc.brute_force_equivalence):
+        with pytest.raises(gc.ShapeError, match="mode mismatch: 1 vs 2"):
+            decide(one, two)
 
 
 class TestCheckHypothesis:
@@ -909,6 +922,10 @@ class TestToleranceContract:
 
 
 class TestBruteForce:
+    def test_two_thermal_products_end_in_the_precheck(self):
+        verdict = gc.brute_force_equivalence(gc.thermal([0.5, 1.0]), gc.thermal([1.0, 0.5]))
+        assert verdict == gc.AllIncoherent()
+
     def test_matches_on_planted_pair(self):
         rho, sigma, _ = equivalent_pair(RandomStateRecipe(modes=2, seed=21))
         verdict = gc.brute_force_equivalence(rho, sigma)

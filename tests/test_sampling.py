@@ -34,7 +34,7 @@ class TestRandomState:
         state = random_state(recipe)
         spectrum = gc.williamson_spectrum(state)
         assert np.all(spectrum >= 1.0 - 1e-9)
-        assert np.all(spectrum <= 1.0 + recipe.max_thermal + 1e-9)
+        assert np.all(spectrum <= 1.0 + sampling.MAX_THERMAL + 1e-9)
 
     def test_deterministic(self):
         recipe = RandomStateRecipe(modes=2, seed=17)
