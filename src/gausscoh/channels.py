@@ -102,7 +102,7 @@ def validate_channel(
 ) -> GaussianChannel:
     """Check (T, N, shift) with :func:`gausscoh.core.checked_arrays`, which
     symmetrizes N, then against the complete-positivity condition."""
-    (T, N, shift), _ = checked_arrays({"T": T, "N": N}, {"shift": shift}, tol)
+    T, N, shift = checked_arrays({"T": T, "N": N}, {"shift": shift}, tol)
     omega = symplectic_form(T.shape[0] // 2)
     herm = N + 1j * (omega - T @ omega @ T.T)
     min_eig = float(np.min(np.linalg.eigvalsh(herm)))

@@ -47,14 +47,15 @@ def default_tol(cov: np.ndarray, tol: float | None = None) -> float:
     return DEFAULT_TOL_REL * max(1.0, float(np.linalg.norm(cov)))
 
 
-def checked_arrays(matrices: dict, vectors: dict, tol: float | None = None) -> tuple:
+def checked_arrays(matrices: dict, vectors: dict, tol: float | None = None) -> list:
     """The named arrays of one m-mode object as float copies, checked in order.
 
     Every entry must be finite (:class:`NonFiniteError`). The first matrix
     must be 2m x 2m with m >= 1, every other matrix of its shape and every
-    vector of length 2m (:class:`ShapeError`). The last matrix A must be
-    symmetric within ``t = default_tol(A, tol)`` (:class:`NotSymmetricError`)
-    and comes back as (A + A^t)/2. Returns the arrays, matrices first, and t.
+    vector of length 2m (:class:`ShapeError`). ``tol`` must pass
+    :func:`checked_tol`. The last matrix A must be symmetric within
+    ``default_tol(A, tol)`` (:class:`NotSymmetricError`) and comes back as
+    (A + A^t)/2. Returns the arrays, matrices first.
     """
     names = [*matrices, *vectors]
     arrays = [np.array(a, dtype=float) for a in (*matrices.values(), *vectors.values())]
@@ -68,11 +69,13 @@ def checked_arrays(matrices: dict, vectors: dict, tol: float | None = None) -> t
         if a.shape != want:
             raise ShapeError(f"{name} must have shape {want} to match {names[0]}, got {a.shape}")
     a = arrays[last]
-    t, asym = default_tol(a, tol), np.max(np.abs(a - a.T))
+    asym = np.max(np.abs(a - a.T))
+    # default_tol(A) is never below DEFAULT_TOL_REL: a smaller asymmetry needs no ||A||_F
+    t = DEFAULT_TOL_REL if tol is None and asym <= DEFAULT_TOL_REL else default_tol(a, tol)
     if asym > t:
         raise NotSymmetricError(f"{names[last]} asymmetry {asym:.3e} exceeds tolerance {t:.3e}")
     arrays[last] = (a + a.T) / 2.0
-    return arrays, t
+    return arrays
 
 
 def symplectic_form(m: int) -> np.ndarray:
@@ -108,10 +111,9 @@ class GaussianState:
     relative to, are derived from the covariance once, when the state is
     built. The spectrum comes from V's Cholesky factor, so a state built
     directly on a V that is not positive definite raises
-    :class:`numpy.linalg.LinAlgError`. ``cross_bound`` is derived when it is
-    first read and kept on the state, so building a state never takes it.
-    States compare and hash by identity: two states built from equal arrays
-    are distinct objects, and either can be a set member or a dict key.
+    :class:`numpy.linalg.LinAlgError`. Nothing is written to a state once it
+    is built. States compare and hash by identity: two states built from
+    equal arrays are distinct objects, either a set member or a dict key.
     """
 
     cov: np.ndarray
@@ -128,20 +130,6 @@ class GaussianState:
         spectrum = _symplectic_spectrum(self.cov)
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
-
-    @property
-    def cross_bound(self) -> np.ndarray:
-        """Each mode's largest |entry| in its cross blocks; no block's Frobenius
-        norm is smaller, so a value above a tolerance shows a block above it.
-        Taken on the first read and kept in the instance ``__dict__``, with no
-        lock; a second thread racing the first read only takes it again."""
-        bound = self.__dict__.get("_cross_bound")
-        if bound is None:
-            m = self.modes
-            bound = (np.abs(self.cov) * _cross_mask(m)).reshape(m, 4 * m).max(axis=1)
-            bound.setflags(write=False)
-            self.__dict__["_cross_bound"] = bound
-        return bound
 
     def mode_cov(self, i: int) -> np.ndarray:
         """2x2 diagonal covariance block of mode ``i`` (0-based)."""
@@ -163,15 +151,15 @@ def validate_state(
 
     :func:`checked_arrays` checks the entries and shapes and symmetrizes
     V. The uncertainty relation then requires V positive definite and the minimum symplectic
-    eigenvalue >= 1 - tol. The state's Cholesky factor proves the first and
-    gives the spectrum; a V it fails on has no spectrum and is rejected,
-    as not positive definite when ``eigvalsh`` finds an eigenvalue below
-    -tol, else as singular to working precision.
+    eigenvalue >= 1 - t, t = ``tol`` or ``1e-9 * state.scale``. The state's Cholesky factor
+    proves the first and gives the spectrum; a V it fails on has no spectrum and is rejected,
+    as not positive definite when ``eigvalsh`` finds an eigenvalue below -t, else as singular.
     """
-    (cov, mean), t = checked_arrays({"covariance": cov}, {"mean": mean}, tol)
+    cov, mean = checked_arrays({"covariance": cov}, {"mean": mean}, tol)
     try:
         state = GaussianState(cov=cov, mean=mean)
     except np.linalg.LinAlgError:
+        t = default_tol(cov, tol)
         lowest = float(np.linalg.eigvalsh(cov)[0])
         kind = "not positive definite"
         if lowest >= -t:
@@ -179,6 +167,7 @@ def validate_state(
         raise UncertaintyViolationError(
             f"covariance has eigenvalue {lowest:.12g} and is {kind}", value=lowest
         ) from None
+    t = DEFAULT_TOL_REL * state.scale if tol is None else checked_tol(tol)
     if state.spectrum[0] < 1.0 - t:
         raise UncertaintyViolationError(
             f"minimum symplectic eigenvalue {state.spectrum[0]:.12g} violates the "
@@ -249,19 +238,27 @@ def isotropic_split(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, block_norms(cov - np.diag(np.repeat(lam, 2)))
 
 
+def cross_bounds(cov: np.ndarray) -> np.ndarray:
+    """Each mode's largest |entry| in its cross blocks, for one covariance
+    (shape (m,)) or a stack of them (shape (k, m)). No block's Frobenius norm
+    is smaller, so a value above a tolerance shows a block above it."""
+    m = cov.shape[-1] // 2
+    return (np.abs(cov) * _cross_mask(m)).reshape(*cov.shape[:-2], m, 4 * m).max(axis=-1)
+
+
 def is_incoherent_state(state: GaussianState) -> list[float] | None:
     """Mean photon numbers [n_1, ..., n_m] if the state is incoherent.
 
     An incoherent Gaussian state is a tensor product of thermal states:
     zero mean, no cross-mode correlations, and each mode block equal to
     (2 n_i + 1) I_2, within :func:`default_tol`. Returns ``None`` otherwise.
-    A mean or a ``state.cross_bound`` above tolerance answers first; only a
-    state that passes both takes the exact table of :func:`isotropic_split`.
+    A mean or a :func:`cross_bounds` value above tolerance answers first; only
+    a state that passes both takes the exact table of :func:`isotropic_split`.
     """
     t = DEFAULT_TOL_REL * state.scale
     mean = state.mean
     # ||d||, in the arithmetic of np.linalg.norm for a real vector
-    if math.sqrt(mean.dot(mean)) > t or state.cross_bound.max() > t:
+    if math.sqrt(mean.dot(mean)) > t or cross_bounds(state.cov).max() > t:
         return None
     lam, rest = isotropic_split(state.cov)
     if rest.max() > t:

@@ -41,6 +41,7 @@ from .core import (
     block_norms,
     block_parts,
     checked_tol,
+    cross_bounds,
     is_incoherent_state,
     validate_state,
 )
@@ -140,34 +141,25 @@ def check_hypothesis(state: GaussianState) -> HypothesisViolated | None:
     """Check the structural hypothesis of the equivalence theorems.
 
     Multimode: every mode must have at least one nonzero off-diagonal
-    covariance block. One mode: the state must be coherent (nonzero mean or
-    anisotropic covariance). "Nonzero" means above the state's
-    :func:`gausscoh.core.default_tol`. Returns the first violation, or None.
+    covariance block; a :func:`gausscoh.core.cross_bounds` value above
+    tolerance shows one, and only when some mode is left does the exact
+    :func:`block_norms` table decide. One mode: the state must be coherent
+    (nonzero mean or anisotropic covariance). "Nonzero" means above the
+    state's :func:`gausscoh.core.default_tol`. Returns the first violation or None.
     """
-    if state.modes > 1:
-        return _hypothesis(state)
-    if is_incoherent_state(state) is None:
-        return None
-    return HypothesisViolated(
-        mode=0, reason="one-mode state is incoherent (d = 0 and V is isotropic)"
-    )
-
-
-def _hypothesis(state: GaussianState) -> HypothesisViolated | None:
-    """The first mode of a multimode state with no cross block above tolerance.
-    A ``state.cross_bound`` above it shows a block; only when some mode is
-    left does the exact :func:`gausscoh.core.block_norms` table decide."""
+    if state.modes == 1:
+        if is_incoherent_state(state) is None:
+            return None
+        return HypothesisViolated(0, "one-mode state is incoherent (d = 0 and V is isotropic)")
     t = DEFAULT_TOL_REL * state.scale
-    if state.cross_bound.min() > t:
+    if cross_bounds(state.cov).min() > t:
         return None
     norms = block_norms(state.cov)
     norms.flat[:: state.modes + 1] = 0.0
     lonely = norms.max(axis=1) <= t
     i = int(lonely.argmax())
     if lonely[i]:
-        return HypothesisViolated(
-            mode=i, reason=f"mode {i} has no nonzero off-diagonal block"
-        )
+        return HypothesisViolated(mode=i, reason=f"mode {i} has no nonzero off-diagonal block")
     return None
 
 
@@ -458,7 +450,7 @@ def _walk(rho, sigma, accept, anchor, parts, targets, order, parent, full):
     return found, best
 
 
-def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
+def _search(rho, sigma, accept: float, covs: np.ndarray) -> EquivalenceVerdict:
     """Backtracking search for a permutation and angles taking rho to sigma.
 
     A mode's angle is held as the unit complex u_i = e^{i theta_i}. The
@@ -480,17 +472,18 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     holonomy band. A mode left without one: "mode fingerprints". When every
     mode is left one, :func:`_walk` first runs without its per-mode tests;
     only when the leaves it reaches all fail does a second, full walk find
-    which of them the search reaches, for ``best_residual``.
+    which of them the search reaches, for ``best_residual``. ``covs`` is the
+    stack of rho's and sigma's covariances.
     """
     m = rho.modes
-    # each mode's mean (x, p) as the complex number x + i p
-    d = np.array([rho.mean, sigma.mean]).view(complex)
-    displaced = d.any()
+    displaced = rho.mean.any() or sigma.mean.any()
     band, h_band = _bands(rho, accept)
     # no incoherent unitary moves x^t V x, and no label is needed to see it
     if displaced and abs(_mean_quadratic(rho) - _mean_quadratic(sigma)) > h_band:
         return NotEquivalent(witness="mode fingerprints")
-    p, q = block_parts(np.array([rho.cov, sigma.cov]))
+    # each mode's mean (x, p) as the complex number x + i p
+    d = np.array([rho.mean, sigma.mean]).view(complex)
+    p, q = block_parts(covs)
     abs_p, abs_q = np.abs(p), np.abs(q)
     lab_r, lab_s = _labels(p, abs_p, abs_q, d)
     compatible = (np.abs(lab_r[:, None] - lab_s[None, :]) <= band).all(axis=2)
@@ -526,22 +519,23 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     )
 
 
-def _prechecks(rho, sigma, tol) -> tuple[EquivalenceVerdict | None, float]:
-    """The incoherence verdict both deciders start with, or None, and ``accept``.
-
-    ``accept`` is ``tol``, which :func:`gausscoh.core.checked_tol` checks, or
-    ``RESIDUAL_TOL_REL * rho.scale``.
-    """
+def _accept(rho, sigma, tol) -> float:
+    """Both deciders' threshold once the mode counts match (else :class:`ShapeError`):
+    ``tol``, checked by :func:`gausscoh.core.checked_tol`, or ``RESIDUAL_TOL_REL * rho.scale``."""
     if rho.modes != sigma.modes:
         raise ShapeError(f"mode mismatch: {rho.modes} vs {sigma.modes}")
-    accept = RESIDUAL_TOL_REL * rho.scale if tol is None else checked_tol(tol)
+    return RESIDUAL_TOL_REL * rho.scale if tol is None else checked_tol(tol)
+
+
+def _incoherence(rho, sigma) -> EquivalenceVerdict | None:
+    """The incoherence verdict both deciders start with, or None."""
     inc_r = is_incoherent_state(rho) is not None
     inc_s = is_incoherent_state(sigma) is not None
     if inc_r and inc_s:
-        return AllIncoherent(), accept
+        return AllIncoherent()
     if inc_r != inc_s:
-        return NotEquivalent(witness="coherence mismatch"), accept
-    return None, accept
+        return NotEquivalent(witness="coherence mismatch")
+    return None
 
 
 def decide_equivalence(
@@ -554,19 +548,28 @@ def decide_equivalence(
     states are thermal products, or :class:`HypothesisViolated` when a
     coherent multimode state falls outside the theorem's hypothesis. ``tol``
     is the acceptance threshold, and every stage derives its band from it.
+
+    A multimode pair whose every mode, in both states, has a cross entry above
+    its state's ``default_tol`` in one :func:`gausscoh.core.cross_bounds` pass
+    is coherent and meets the hypothesis; only other pairs take those checks.
     """
-    early, accept = _prechecks(rho, sigma, tol)
-    if early is not None:
-        return early
-    if rho.modes > 1:
-        # both states are coherent by now, which is all one mode needs
-        for violation in map(_hypothesis, (rho, sigma)):
-            if violation is not None:
-                return violation
+    accept = _accept(rho, sigma, tol)
+    covs = np.array([rho.cov, sigma.cov])
+    # a one-mode state has no cross block to pass
+    low_r, low_s = cross_bounds(covs).min(axis=1).tolist() if rho.modes > 1 else (0.0, 0.0)
+    if low_r <= DEFAULT_TOL_REL * rho.scale or low_s <= DEFAULT_TOL_REL * sigma.scale:
+        early = _incoherence(rho, sigma)
+        if early is not None:
+            return early
+        if rho.modes > 1:
+            # both states are coherent by now, which is all one mode needs
+            for violation in map(check_hypothesis, (rho, sigma)):
+                if violation is not None:
+                    return violation
     # never below the rounding floor of the eigen-solve behind the spectra
     if np.abs(rho.spectrum - sigma.spectrum).max() > max(accept, DEFAULT_TOL_REL * rho.scale):
         return NotEquivalent(witness="symplectic spectrum")
-    return _search(rho, sigma, accept)
+    return _search(rho, sigma, accept, covs)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +679,7 @@ def brute_force_equivalence(
     surviving centres.
 
     Returns :class:`Equivalent` once a polished point's residual is at most
-    the threshold of :func:`_prechecks`. When every box of every permutation
+    the threshold of :func:`_accept`. When every box of every permutation
     is pruned, no incoherent unitary comes within it, and the verdict is
     ``NotEquivalent(witness="residual lower bound")``. A level over
     ``_BOX_BUDGET`` boxes, or a box still alive after ``_MAX_LEVELS`` levels,
@@ -684,10 +687,11 @@ def brute_force_equivalence(
     ``NotEquivalent(witness="search exhausted")``. Either way,
     ``best_residual`` is the smallest residual the search evaluated.
     """
-    early, accept = _prechecks(rho, sigma, tol)
+    accept = _accept(rho, sigma, tol)
     m = rho.modes
     if m > 3:
         raise ValueError("brute-force oracle supports at most 3 modes")
+    early = _incoherence(rho, sigma)
     if early is not None:
         return early
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))

@@ -2,6 +2,7 @@
 
 State: {"modes": m, "mean": [2m floats], "cov": [[2m x 2m floats]]}
 Channel: {"modes": m, "T": [[...]], "N": [[...]], "shift": [...]}
+Files are read and written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -64,21 +65,19 @@ def _read(doc: dict, kind: str, lead: str, *rest: str) -> list[np.ndarray]:
 
 
 def load_state(path: str | Path, tol: float | None = None) -> GaussianState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh), tol)
+    return state_from_dict(json.loads(Path(path).read_text(encoding="utf-8")), tol)
 
 
 def load_channel(path: str | Path, tol: float | None = None) -> GaussianChannel:
-    with open(path) as fh:
-        return channel_from_dict(json.load(fh), tol)
+    return channel_from_dict(json.loads(Path(path).read_text(encoding="utf-8")), tol)
 
 
 def save_state(state: GaussianState, path: str | Path) -> None:
-    Path(path).write_text(dumps(state_to_dict(state)) + "\n")
+    Path(path).write_text(dumps(state_to_dict(state)) + "\n", encoding="utf-8")
 
 
 def save_channel(channel: GaussianChannel, path: str | Path) -> None:
-    Path(path).write_text(dumps(channel_to_dict(channel)) + "\n")
+    Path(path).write_text(dumps(channel_to_dict(channel)) + "\n", encoding="utf-8")
 
 
 def dumps(doc: dict, pretty: bool = False) -> str:

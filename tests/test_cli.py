@@ -464,6 +464,21 @@ def test_import_loads_no_scipy():
     )
 
 
+def test_documents_are_utf8_under_an_ascii_locale(tmp_path):
+    # a C locale without UTF-8 mode makes ASCII the default file encoding
+    src = str(Path(gc.__file__).resolve().parents[1])
+    path = tmp_path / "state.json"
+    path.write_bytes('{"modes":1,"mean":[0,0],"cov":[[1,0],[0,1]],"café":1}'.encode())
+    code = (
+        "import locale, sys; from gausscoh import serialization as ser, vacuum\n"
+        "assert locale.getpreferredencoding(False) != 'UTF-8'\n"
+        "state = ser.load_state(sys.argv[1]); ser.save_state(state, sys.argv[1] + '.out')\n"
+        "assert ser.load_state(sys.argv[1] + '.out').cov.tolist() == vacuum().cov.tolist()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+
+
 class TestRoundTrips:
     def test_make_then_validate(self, tmp_path):
         _, out, _ = run_cli(["make", "thermal", "--n", "1.5"])

@@ -155,6 +155,35 @@ class TestValidateState:
         state = gc.validate_state(cov, np.zeros(2))
         np.testing.assert_array_equal(state.cov, state.cov.T)
 
+    def test_asymmetry_is_measured_against_the_norm(self):
+        # ||V||_F = 100 sqrt(2): the default tolerance is 1.41e-7, above DEFAULT_TOL_REL
+        for gap, symmetric in ((1e-7, True), (2e-7, False)):
+            cov = 100.0 * np.eye(2)
+            cov[0, 1] = gap
+            if symmetric:
+                assert gc.validate_state(cov, np.zeros(2)).cov[0, 1] == gap / 2.0
+            else:
+                with pytest.raises(gc.NotSymmetricError):
+                    gc.validate_state(cov, np.zeros(2))
+
+    def test_takes_the_frobenius_norm_once(self, monkeypatch):
+        state = random_state(RandomStateRecipe(modes=16, seed=1, mean_scale=1.0))
+        # asymmetric by far less than DEFAULT_TOL_REL, as rounding leaves U V U^t
+        nudged = state.cov.copy()
+        nudged[0, 1] += 1e-13
+        ndims, real = [], np.linalg.norm
+
+        def spy(x, *args, **kwargs):
+            ndims.append(np.ndim(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        for cov, tol in ((state.cov, None), (nudged, None), (nudged, 1e-6)):
+            ndims.clear()
+            built = gc.validate_state(cov, state.mean, tol)
+            assert ndims == [2]
+            assert built.scale == max(1.0, real(built.cov))
+
     @pytest.mark.parametrize("tol", [float("nan"), -1e-3, float("inf")])
     def test_bad_tolerance_rejected(self, tol):
         # a NaN tolerance would skip the uncertainty check and accept V = 0.1 I;

@@ -158,12 +158,20 @@ class TestCheckHypothesis:
     def test_cross_bound_answers_as_the_exact_tables(self, m, seed, lonely, displaced):
         # cross entries and anisotropies in [t/4, 4t]: the bound leaves many
         # states open, and then the exact tables must decide as they always did
-        state = _straddling_state(m, np.random.default_rng(seed), lonely, displaced)
+        rng = np.random.default_rng(seed)
+        state = _straddling_state(m, rng, lonely, displaced)
+        other = _straddling_state(m, rng, lonely, not displaced)
         t = DEFAULT_TOL_REL * state.scale
         cross = 1.0 - np.kron(np.eye(m), np.ones((2, 2)))
-        want_bound = (np.abs(state.cov) * cross).reshape(m, 2, m, 2).max(axis=(1, 2, 3))
-        assert np.array_equal(state.cross_bound, want_bound)
-        assert state.cross_bound is state.cross_bound
+
+        def want_bound(cov):
+            return (np.abs(cov) * cross).reshape(m, 2, m, 2).max(axis=(1, 2, 3))
+
+        assert np.array_equal(core.cross_bounds(state.cov), want_bound(state.cov))
+        # a stack answers as its covariances one by one
+        stack = np.array([state.cov, other.cov, state.cov])
+        want = [want_bound(cov) for cov in stack]
+        assert np.array_equal(core.cross_bounds(stack), want)
 
         # the definitions from the exact tables alone
         lam, rest = isotropic_split(state.cov)
@@ -213,6 +221,53 @@ class TestCheckHypothesis:
 
 
 class TestDecideEquivalence:
+    @pytest.mark.parametrize(
+        "pair, tol, want",
+        [
+            pytest.param(lambda: (gc.thermal([1.0, 2.0]), gc.thermal([2.0, 1.0])), None,
+                         gc.AllIncoherent(), id="both-thermal"),
+            pytest.param(lambda: (gc.thermal([1.0, 2.0]), _lonely_state(2)), None,
+                         gc.NotEquivalent(witness="coherence mismatch"), id="rho-thermal"),
+            pytest.param(lambda: (_lonely_state(2), gc.thermal([1.0, 2.0])), None,
+                         gc.NotEquivalent(witness="coherence mismatch"), id="sigma-thermal"),
+            pytest.param(lambda: (_lonely_state(3, 2), _lonely_state(3)), None,
+                         gc.HypothesisViolated(2, "mode 2 has no nonzero off-diagonal block"),
+                         id="rho-lonely"),
+            pytest.param(lambda: (_lonely_state(3), _lonely_state(3, 1)), None,
+                         gc.HypothesisViolated(1, "mode 1 has no nonzero off-diagonal block"),
+                         id="sigma-lonely"),
+            pytest.param(lambda: (_lonely_state(3, 2), _lonely_state(3, 0)), 1e-3,
+                         gc.HypothesisViolated(2, "mode 2 has no nonzero off-diagonal block"),
+                         id="both-lonely"),
+            pytest.param(lambda: (gc.thermal([1.0]), gc.thermal([3.0])), None,
+                         gc.AllIncoherent(), id="one-mode-thermal"),
+            pytest.param(lambda: (gc.thermal([1.0]), gc.coherent(1.0)), None,
+                         gc.NotEquivalent(witness="coherence mismatch"), id="one-mode-mismatch"),
+            pytest.param(lambda: (gc.coherent(1.0), _rotated(gc.coherent(1.0))), None,
+                         gc.Equivalent, id="one-mode-coherent"),
+            pytest.param(lambda: (_lonely_state(4), _rotated(_lonely_state(4))), None,
+                         gc.Equivalent, id="correlated"),
+            pytest.param(lambda: (gc.coherent(1.0), _lonely_state(2)), -1.0,
+                         gc.ShapeError, id="mode-mismatch-before-bad-tol"),
+            pytest.param(lambda: (gc.thermal([1.0, 2.0]), gc.thermal([1.0, 2.0])), float("nan"),
+                         ValueError, id="bad-tol"),
+        ],
+    )
+    def test_early_outcomes_are_the_per_state_checks(self, pair, tol, want):
+        rho, sigma = pair()
+        if isinstance(want, type) and issubclass(want, Exception):
+            with pytest.raises(want):
+                gc.decide_equivalence(rho, sigma, tol)
+            return
+        verdict = gc.decide_equivalence(rho, sigma, tol)
+        if isinstance(want, type):
+            # neither stage decides: the pair goes on to the spectrum and search
+            assert _per_state_verdict(rho, sigma) is None
+            assert isinstance(verdict, want)
+        else:
+            assert _per_state_verdict(rho, sigma) == want
+            assert verdict == want
+
     def test_planted_two_mode(self):
         state = random_state(RandomStateRecipe(modes=2, seed=11))
         planted = gc.IncoherentUnitary(perm=(1, 0), angles=(np.pi / 3, np.pi / 7))
@@ -337,6 +392,36 @@ def _straddling_state(m, rng, lonely, displaced):
                 cov[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = block.T
     mean = rng.normal(size=2 * m) if displaced else np.zeros(2 * m)
     return gc.validate_state(cov, mean)
+
+
+def _lonely_state(m, lonely=None):
+    """2 I + 0.3 (J - I) on every quadrature, zero mean: a coherent state whose
+    every mode is correlated, but for mode ``lonely``, cut off from the rest."""
+    couplings = np.full((m, m), 0.3) + 1.7 * np.eye(m)
+    if lonely is not None:
+        couplings[lonely] = couplings[:, lonely] = 0.0
+        couplings[lonely, lonely] = 2.0
+    return gc.validate_state(np.kron(couplings, np.eye(2)), np.zeros(2 * m))
+
+
+def _per_state_verdict(rho, sigma):
+    """The verdict of the incoherence and hypothesis stages, taken state by
+    state in the decider's order, or None when neither decides."""
+    thermal = [gc.is_incoherent_state(state) is not None for state in (rho, sigma)]
+    if all(thermal):
+        return gc.AllIncoherent()
+    if any(thermal):
+        return gc.NotEquivalent(witness="coherence mismatch")
+    for state in (rho, sigma):
+        violation = gc.check_hypothesis(state)
+        if violation is not None:
+            return violation
+    return None
+
+
+def _rotated(state):
+    unitary = random_incoherent_unitary(state.modes, np.random.default_rng(state.modes))
+    return gc.apply_incoherent_unitary(unitary, state)
 
 
 def _isotropic_ring(m):
@@ -704,22 +789,46 @@ class TestSearch:
         assert gc.decide_equivalence(ring, image) == gc.NotEquivalent(witness="mode fingerprints")
         assert ndims == []
 
-    def test_the_cross_bound_is_taken_once_per_state_and_only_when_read(self, monkeypatch):
-        taken, real = [], core._cross_mask
+    def test_a_correlated_pair_takes_one_stacked_pass(self, monkeypatch):
+        shapes, real = [], core.cross_bounds
 
-        def spy(m):
-            taken.append(m)
-            return real(m)
+        def spy(cov):
+            shapes.append(cov.shape)
+            return real(cov)
 
-        monkeypatch.setattr(core, "_cross_mask", spy)
-        # zero-mean rings: both the incoherence and the hypothesis stage read it
-        rho = gc.validate_state(_isotropic_ring(5), np.zeros(10))
-        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(5, np.random.default_rng(5)), rho)
-        assert taken == []
-        assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
-        assert taken == [5, 5]
-        assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
-        assert taken == [5, 5]
+        for module in (core, equivalence):
+            monkeypatch.setattr(module, "cross_bounds", spy)
+        ring = gc.validate_state(_isotropic_ring(5), np.zeros(10))
+        for pair in ((ring, _rotated(ring)), _displaced_ring_negative(5, 5)):
+            shapes.clear()
+            gc.decide_equivalence(*pair)
+            assert shapes == [(2, 10, 10)]
+        # a pair the pass leaves open takes the per-state checks in stage order
+        shapes.clear()
+        gc.decide_equivalence(_lonely_state(3, 2), _lonely_state(3))
+        assert shapes == [(2, 6, 6), (6, 6), (6, 6), (6, 6)]
+        # a one-mode state has no cross block: no pass
+        shapes.clear()
+        gc.decide_equivalence(gc.displaced_squeezed(0.0, 0.5), gc.displaced_squeezed(0.0, 0.5j))
+        assert shapes == [(2, 2), (2, 2)]
+
+    def test_no_check_writes_to_a_state(self):
+        ring = gc.validate_state(_isotropic_ring(5), np.zeros(10))
+        # pairs that take the pair pass, x^t V x, a lonely mode and a thermal state
+        states = (
+            ring, _rotated(ring), *_displaced_ring_negative(5, 5),
+            _lonely_state(3, 2), gc.thermal([1.0, 2.0, 3.0]),
+        )
+        before = [dict(vars(state)) for state in states]
+        for state in states:
+            gc.is_incoherent_state(state)
+            gc.check_hypothesis(state)
+        for rho, sigma in zip(states[::2], states[1::2]):
+            gc.decide_equivalence(rho, sigma)
+            gc.decide_equivalence(sigma, rho)
+        for state, fields in zip(states, before):
+            assert vars(state).keys() == fields.keys()
+            assert all(vars(state)[name] is value for name, value in fields.items())
 
     def test_cross_block_negative_reaches_no_leaf(self, monkeypatch):
         # only the block between the images of modes 3 and 4 moves, by 1e-6; on
