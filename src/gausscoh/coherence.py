@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL_REL, GaussianState
 from .errors import InvariantViolationError, NonFiniteError
+from .zoo import thermal
 
 # below this occupation a mode is treated as exactly empty (0 log 0 = 0)
 _ZERO_OCCUPATION = 1e-300
@@ -72,8 +73,6 @@ def relative_entropy_coherence(state: GaussianState) -> CoherenceReport:
     infimum over incoherent states is attained at the thermal product with
     the same occupations.
     """
-    from .zoo import thermal
-
     n_bar = mean_photon_numbers(state)
     entropy = von_neumann_entropy(state)
     c = -entropy + sum(_g(n) for n in n_bar)

@@ -7,7 +7,6 @@ with vacuum variance normalized to 1 (V_vac = I).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -92,25 +91,18 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-@functools.lru_cache(maxsize=32)
-def _cross_mask(m: int) -> np.ndarray:
-    """1 on the cross blocks of a 2m x 2m matrix, 0 on its 2x2 mode blocks."""
-    mask = 1.0 - np.kron(np.eye(m), np.ones((2, 2)))
-    mask.setflags(write=False)
-    return mask
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianState:
     """Immutable validated Gaussian state (V, d).
 
     Do not construct directly; use :func:`validate_state` (or the helpers
     in :mod:`gausscoh.zoo`), which symmetrizes and checks the uncertainty
-    relation. ``modes``, the read-only symplectic ``spectrum`` and
-    ``scale`` = max(1, ||V||_F), which every tolerance on the state is
-    relative to, are derived from the covariance once, when the state is
-    built. The spectrum comes from V's Cholesky factor, so a state built
-    directly on a V that is not positive definite raises
+    relation. ``modes``, the read-only symplectic ``spectrum``, ``scale`` =
+    max(1, ||V||_F), which every tolerance on the state is relative to, and
+    the read-only ``cross``, each mode's largest cross-block Frobenius norm
+    (``[0.0]`` for one mode), are derived from the covariance once, when the
+    state is built. The spectrum comes from V's Cholesky factor, so a state
+    built directly on a V that is not positive definite raises
     :class:`numpy.linalg.LinAlgError`. Nothing is written to a state once it
     is built. States compare and hash by identity: two states built from
     equal arrays are distinct objects, either a set member or a dict key.
@@ -121,6 +113,7 @@ class GaussianState:
     modes: int = field(init=False)
     spectrum: np.ndarray = field(init=False, repr=False)
     scale: float = field(init=False, repr=False)
+    cross: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", self.cov.shape[0] // 2)
@@ -130,6 +123,11 @@ class GaussianState:
         spectrum = _symplectic_spectrum(self.cov)
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
+        norms = block_norms(self.cov)
+        norms.flat[:: self.modes + 1] = 0.0
+        cross = norms.max(axis=1)
+        cross.setflags(write=False)
+        object.__setattr__(self, "cross", cross)
 
     def mode_cov(self, i: int) -> np.ndarray:
         """2x2 diagonal covariance block of mode ``i`` (0-based)."""
@@ -223,8 +221,9 @@ def block_parts(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def block_norms(cov: np.ndarray) -> np.ndarray:
     """Frobenius norms of the 2x2 blocks of ``cov``, as an m x m array."""
-    m = cov.shape[0] // 2
-    return np.sqrt((cov * cov).reshape(m, 2, m, 2).sum(axis=(1, 3)))
+    square = cov * cov
+    columns = square[:, 0::2] + square[:, 1::2]
+    return np.sqrt(columns[0::2] + columns[1::2])
 
 
 def isotropic_split(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,27 +237,19 @@ def isotropic_split(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, block_norms(cov - np.diag(np.repeat(lam, 2)))
 
 
-def cross_bounds(cov: np.ndarray) -> np.ndarray:
-    """Each mode's largest |entry| in its cross blocks, for one covariance
-    (shape (m,)) or a stack of them (shape (k, m)). No block's Frobenius norm
-    is smaller, so a value above a tolerance shows a block above it."""
-    m = cov.shape[-1] // 2
-    return (np.abs(cov) * _cross_mask(m)).reshape(*cov.shape[:-2], m, 4 * m).max(axis=-1)
-
-
 def is_incoherent_state(state: GaussianState) -> list[float] | None:
     """Mean photon numbers [n_1, ..., n_m] if the state is incoherent.
 
     An incoherent Gaussian state is a tensor product of thermal states:
     zero mean, no cross-mode correlations, and each mode block equal to
     (2 n_i + 1) I_2, within :func:`default_tol`. Returns ``None`` otherwise.
-    A mean or a :func:`cross_bounds` value above tolerance answers first; only
-    a state that passes both takes the exact table of :func:`isotropic_split`.
+    The mean, then ``state.cross`` answer first; only a state within
+    tolerance on both takes :func:`isotropic_split` for its mode blocks.
     """
     t = DEFAULT_TOL_REL * state.scale
     mean = state.mean
     # ||d||, in the arithmetic of np.linalg.norm for a real vector
-    if math.sqrt(mean.dot(mean)) > t or cross_bounds(state.cov).max() > t:
+    if math.sqrt(mean.dot(mean)) > t or state.cross.max() > t:
         return None
     lam, rest = isotropic_split(state.cov)
     if rest.max() > t:

@@ -34,14 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import apply_channel, classify_incoherent
 from .coherence import relative_entropy_coherence
 from .core import (
     DEFAULT_TOL_REL,
     GaussianState,
-    block_norms,
     block_parts,
     checked_tol,
-    cross_bounds,
     is_incoherent_state,
     validate_state,
 )
@@ -141,24 +140,18 @@ def check_hypothesis(state: GaussianState) -> HypothesisViolated | None:
     """Check the structural hypothesis of the equivalence theorems.
 
     Multimode: every mode must have at least one nonzero off-diagonal
-    covariance block; a :func:`gausscoh.core.cross_bounds` value above
-    tolerance shows one, and only when some mode is left does the exact
-    :func:`block_norms` table decide. One mode: the state must be coherent
-    (nonzero mean or anisotropic covariance). "Nonzero" means above the
-    state's :func:`gausscoh.core.default_tol`. Returns the first violation or None.
+    covariance block, so the first mode whose ``state.cross`` is not above
+    tolerance violates it. One mode: the state must be coherent (nonzero
+    mean or anisotropic covariance). "Nonzero" means above the state's
+    :func:`gausscoh.core.default_tol`. Returns the first violation or None.
     """
     if state.modes == 1:
         if is_incoherent_state(state) is None:
             return None
         return HypothesisViolated(0, "one-mode state is incoherent (d = 0 and V is isotropic)")
-    t = DEFAULT_TOL_REL * state.scale
-    if cross_bounds(state.cov).min() > t:
-        return None
-    norms = block_norms(state.cov)
-    norms.flat[:: state.modes + 1] = 0.0
-    lonely = norms.max(axis=1) <= t
-    i = int(lonely.argmax())
-    if lonely[i]:
+    lonely = np.flatnonzero(state.cross <= DEFAULT_TOL_REL * state.scale)
+    if lonely.size:
+        i = int(lonely[0])
         return HypothesisViolated(mode=i, reason=f"mode {i} has no nonzero off-diagonal block")
     return None
 
@@ -450,7 +443,7 @@ def _walk(rho, sigma, accept, anchor, parts, targets, order, parent, full):
     return found, best
 
 
-def _search(rho, sigma, accept: float, covs: np.ndarray) -> EquivalenceVerdict:
+def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     """Backtracking search for a permutation and angles taking rho to sigma.
 
     A mode's angle is held as the unit complex u_i = e^{i theta_i}. The
@@ -472,8 +465,8 @@ def _search(rho, sigma, accept: float, covs: np.ndarray) -> EquivalenceVerdict:
     holonomy band. A mode left without one: "mode fingerprints". When every
     mode is left one, :func:`_walk` first runs without its per-mode tests;
     only when the leaves it reaches all fail does a second, full walk find
-    which of them the search reaches, for ``best_residual``. ``covs`` is the
-    stack of rho's and sigma's covariances.
+    which of them the search reaches, for ``best_residual``. The block parts
+    of both covariances come from one stack, built after the x^t V x test.
     """
     m = rho.modes
     displaced = rho.mean.any() or sigma.mean.any()
@@ -483,7 +476,7 @@ def _search(rho, sigma, accept: float, covs: np.ndarray) -> EquivalenceVerdict:
         return NotEquivalent(witness="mode fingerprints")
     # each mode's mean (x, p) as the complex number x + i p
     d = np.array([rho.mean, sigma.mean]).view(complex)
-    p, q = block_parts(covs)
+    p, q = block_parts(np.array([rho.cov, sigma.cov]))
     abs_p, abs_q = np.abs(p), np.abs(q)
     lab_r, lab_s = _labels(p, abs_p, abs_q, d)
     compatible = (np.abs(lab_r[:, None] - lab_s[None, :]) <= band).all(axis=2)
@@ -549,27 +542,23 @@ def decide_equivalence(
     coherent multimode state falls outside the theorem's hypothesis. ``tol``
     is the acceptance threshold, and every stage derives its band from it.
 
-    A multimode pair whose every mode, in both states, has a cross entry above
-    its state's ``default_tol`` in one :func:`gausscoh.core.cross_bounds` pass
-    is coherent and meets the hypothesis; only other pairs take those checks.
+    The incoherence and hypothesis stages read each state's mean and its
+    ``cross``, derived when the state was built; the spectrum stage reads
+    its ``spectrum``.
     """
     accept = _accept(rho, sigma, tol)
-    covs = np.array([rho.cov, sigma.cov])
-    # a one-mode state has no cross block to pass
-    low_r, low_s = cross_bounds(covs).min(axis=1).tolist() if rho.modes > 1 else (0.0, 0.0)
-    if low_r <= DEFAULT_TOL_REL * rho.scale or low_s <= DEFAULT_TOL_REL * sigma.scale:
-        early = _incoherence(rho, sigma)
-        if early is not None:
-            return early
-        if rho.modes > 1:
-            # both states are coherent by now, which is all one mode needs
-            for violation in map(check_hypothesis, (rho, sigma)):
-                if violation is not None:
-                    return violation
+    early = _incoherence(rho, sigma)
+    if early is not None:
+        return early
+    if rho.modes > 1:
+        # both states are coherent by now, which is all one mode needs
+        for violation in map(check_hypothesis, (rho, sigma)):
+            if violation is not None:
+                return violation
     # never below the rounding floor of the eigen-solve behind the spectra
     if np.abs(rho.spectrum - sigma.spectrum).max() > max(accept, DEFAULT_TOL_REL * rho.scale):
         return NotEquivalent(witness="symplectic spectrum")
-    return _search(rho, sigma, accept, covs)
+    return _search(rho, sigma, accept)
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +737,6 @@ def is_frozen(rho: GaussianState, channel) -> FrozenReport:
     :func:`decide_equivalence`. A ``NotEquivalent`` verdict there contradicts
     that theorem and raises :class:`NumericError`.
     """
-    from .channels import apply_channel, classify_incoherent
-
     cls = classify_incoherent(channel)
     if not cls.is_strict:
         raise ValueError(f"channel is not strictly incoherent: {cls.verdict}")

@@ -41,17 +41,19 @@ def displaced_squeezed(alpha: complex, beta: complex) -> GaussianState:
 
     With beta = |beta| e^{i theta}, the covariance is
     ch(2|beta|) I + sh(2|beta|) [[cos theta, sin theta], [sin theta, -cos theta]]
-    and the mean is 2(Re alpha, Im alpha).
+    and the mean is 2(Re alpha, Im alpha). The diagonal is built as
+    e^{-2|beta|} + 2 cos^2(theta/2) sh(2|beta|) and the same with sin^2, as
+    ch - sh cancels at large |beta|.
     """
     alpha = complex(alpha)
     beta = complex(beta)
     r = abs(beta)
     theta = cmath.phase(beta) if r > 0 else 0.0
-    ch, sh = math.cosh(2 * r), math.sinh(2 * r)
+    low, sh = math.exp(-2 * r), math.sinh(2 * r)
     cov = np.array(
         [
-            [ch + math.cos(theta) * sh, math.sin(theta) * sh],
-            [math.sin(theta) * sh, ch - math.cos(theta) * sh],
+            [low + 2.0 * math.cos(theta / 2) ** 2 * sh, math.sin(theta) * sh],
+            [math.sin(theta) * sh, low + 2.0 * math.sin(theta / 2) ** 2 * sh],
         ]
     )
     mean = np.array([2.0 * alpha.real, 2.0 * alpha.imag])
@@ -151,6 +153,7 @@ def equivalence_class_samples(
     mode-swapped member, both obtained by incoherent unitaries with
     per-mode rotation angles (theta1, theta2).
     """
+    # imported here: equivalence imports coherence, which imports this module
     from .equivalence import IncoherentUnitary, apply_incoherent_unitary
 
     if state.modes != 2:

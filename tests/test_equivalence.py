@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gausscoh as gc
-from gausscoh import core, equivalence
+from gausscoh import equivalence
 from gausscoh.channels import rotation_channel
 from gausscoh.core import DEFAULT_TOL_REL, block_norms, block_parts, isotropic_split, rotation
 from gausscoh.sampling import (
@@ -153,71 +153,57 @@ class TestCheckHypothesis:
         m=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
         lonely=st.floats(0.0, 0.5),
-        displaced=st.booleans(),
+        displaced=st.tuples(st.booleans(), st.booleans()),
     )
-    def test_cross_bound_answers_as_the_exact_tables(self, m, seed, lonely, displaced):
-        # cross entries and anisotropies in [t/4, 4t]: the bound leaves many
-        # states open, and then the exact tables must decide as they always did
+    def test_stages_one_and_two_answer_as_the_exact_tables(self, m, seed, lonely, displaced):
+        # cross entries and anisotropies in [t/4, 4t]: many states sit at the
+        # stages' threshold, where the verdicts must be the exact definitions'
         rng = np.random.default_rng(seed)
-        state = _straddling_state(m, rng, lonely, displaced)
-        other = _straddling_state(m, rng, lonely, not displaced)
-        t = DEFAULT_TOL_REL * state.scale
-        cross = 1.0 - np.kron(np.eye(m), np.ones((2, 2)))
+        pair = [_straddling_state(m, rng, lonely, d) for d in displaced]
 
-        def want_bound(cov):
-            return (np.abs(cov) * cross).reshape(m, 2, m, 2).max(axis=(1, 2, 3))
+        def definitions(state):
+            """Occupations if thermal, else None, and the lonely modes, from
+            isotropic_split and block_norms alone."""
+            t = DEFAULT_TOL_REL * state.scale
+            lam, rest = isotropic_split(state.cov)
+            thermal = np.linalg.norm(state.mean) <= t and np.max(rest) <= t
+            norms = block_norms(state.cov)
+            np.fill_diagonal(norms, 0.0)
+            lonely_modes = np.flatnonzero(norms.max(axis=1) <= t).tolist() if m > 1 else []
+            return ([max((x - 1.0) / 2.0, 0.0) for x in lam] if thermal else None), lonely_modes
 
-        assert np.array_equal(core.cross_bounds(state.cov), want_bound(state.cov))
-        # a stack answers as its covariances one by one
-        stack = np.array([state.cov, other.cov, state.cov])
-        want = [want_bound(cov) for cov in stack]
-        assert np.array_equal(core.cross_bounds(stack), want)
+        for state in pair:
+            want_cross = [
+                max([np.linalg.norm(state.cross_cov(i, j)) for j in range(m) if j != i] or [0.0])
+                for i in range(m)
+            ]
+            np.testing.assert_allclose(state.cross, want_cross, rtol=1e-15, atol=0.0)
+            occupations, lonely_modes = definitions(state)
+            assert gc.is_incoherent_state(state) == occupations
+            violation = gc.check_hypothesis(state)
+            if m == 1:
+                assert (violation is None) == (occupations is None)
+            elif lonely_modes:
+                assert violation is not None and violation.mode == lonely_modes[0]
+            else:
+                assert violation is None
 
-        # the definitions from the exact tables alone
-        lam, rest = isotropic_split(state.cov)
-        thermal = np.linalg.norm(state.mean) <= t and np.max(rest) <= t
-        want_occupations = [max((x - 1.0) / 2.0, 0.0) for x in lam] if thermal else None
-        norms = block_norms(state.cov)
-        np.fill_diagonal(norms, 0.0)
-        if m == 1:
-            lonely_modes = [0] if thermal else []
-        else:
-            lonely_modes = np.flatnonzero(norms.max(axis=1) <= t)
-        assert gc.is_incoherent_state(state) == want_occupations
-        violation = gc.check_hypothesis(state)
-        if len(lonely_modes) == 0:
-            assert violation is None
-        else:
-            assert violation is not None and violation.mode == lonely_modes[0]
-
-    def test_decide_takes_no_exact_table_on_correlated_states(self, monkeypatch):
-        calls = []
-
-        def spy(name, real):
-            def counted(*args):
-                calls.append(name)
-                return real(*args)
-            return counted
-
-        monkeypatch.setattr(equivalence, "block_norms", spy("block_norms", block_norms))
-        monkeypatch.setattr(core, "isotropic_split", spy("isotropic_split", isotropic_split))
-        rho, sigma, _ = equivalent_pair(RandomStateRecipe(modes=6, seed=3, mean_scale=1.0))
-        ring = gc.validate_state(_isotropic_ring(6), np.zeros(12))
-        planted = random_incoherent_unitary(6, np.random.default_rng(3))
-        image = gc.apply_incoherent_unitary(planted, ring)
-        for pair in ((rho, sigma), (ring, image)):
-            assert isinstance(gc.decide_equivalence(*pair), gc.Equivalent)
-        assert calls == []
-
-        # mode 2's cross entries all sit at 0.9 t, its block's norm at 1.8 t
-        cov = np.kron(np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 2.0]]), np.eye(2))
-        t = DEFAULT_TOL_REL * np.linalg.norm(cov)
-        cov[0:2, 4:6] = cov[4:6, 0:2] = 0.9 * t
-        state = gc.validate_state(cov, np.zeros(6))
-        assert gc.is_incoherent_state(state) is None
-        assert calls == []
-        assert gc.check_hypothesis(state) is None
-        assert calls == ["block_norms"]
+        for rho, sigma in (pair, pair[::-1]):
+            (thermal_r, lonely_r), (thermal_s, lonely_s) = map(definitions, (rho, sigma))
+            want = None
+            if thermal_r is not None and thermal_s is not None:
+                want = gc.AllIncoherent()
+            elif (thermal_r is None) != (thermal_s is None):
+                want = gc.NotEquivalent(witness="coherence mismatch")
+            elif lonely_r or lonely_s:
+                i = (lonely_r or lonely_s)[0]
+                want = gc.HypothesisViolated(i, f"mode {i} has no nonzero off-diagonal block")
+            verdict = gc.decide_equivalence(rho, sigma)
+            if want is None:
+                assert not isinstance(verdict, (gc.AllIncoherent, gc.HypothesisViolated))
+                assert getattr(verdict, "witness", None) != "coherence mismatch"
+            else:
+                assert verdict == want
 
 
 class TestDecideEquivalence:
@@ -789,32 +775,9 @@ class TestSearch:
         assert gc.decide_equivalence(ring, image) == gc.NotEquivalent(witness="mode fingerprints")
         assert ndims == []
 
-    def test_a_correlated_pair_takes_one_stacked_pass(self, monkeypatch):
-        shapes, real = [], core.cross_bounds
-
-        def spy(cov):
-            shapes.append(cov.shape)
-            return real(cov)
-
-        for module in (core, equivalence):
-            monkeypatch.setattr(module, "cross_bounds", spy)
-        ring = gc.validate_state(_isotropic_ring(5), np.zeros(10))
-        for pair in ((ring, _rotated(ring)), _displaced_ring_negative(5, 5)):
-            shapes.clear()
-            gc.decide_equivalence(*pair)
-            assert shapes == [(2, 10, 10)]
-        # a pair the pass leaves open takes the per-state checks in stage order
-        shapes.clear()
-        gc.decide_equivalence(_lonely_state(3, 2), _lonely_state(3))
-        assert shapes == [(2, 6, 6), (6, 6), (6, 6), (6, 6)]
-        # a one-mode state has no cross block: no pass
-        shapes.clear()
-        gc.decide_equivalence(gc.displaced_squeezed(0.0, 0.5), gc.displaced_squeezed(0.0, 0.5j))
-        assert shapes == [(2, 2), (2, 2)]
-
     def test_no_check_writes_to_a_state(self):
         ring = gc.validate_state(_isotropic_ring(5), np.zeros(10))
-        # pairs that take the pair pass, x^t V x, a lonely mode and a thermal state
+        # correlated pairs, one rejected at x^t V x, a lonely mode and a thermal state
         states = (
             ring, _rotated(ring), *_displaced_ring_negative(5, 5),
             _lonely_state(3, 2), gc.thermal([1.0, 2.0, 3.0]),
@@ -1054,6 +1017,15 @@ class TestBruteForce:
         assert isinstance(verdict, gc.NotEquivalent)
         assert verdict.witness == "search exhausted"
         assert verdict.best_residual > _accept(rho)
+
+    def test_level_cap_ends_in_search_exhausted(self, monkeypatch):
+        # the perturbation is small enough that boxes outlive two levels
+        rho, sigma = perturbed_pair(RandomStateRecipe(modes=2, seed=0), magnitude=1e-6)
+        assert gc.brute_force_equivalence(rho, sigma).witness == "residual lower bound"
+        monkeypatch.setattr(equivalence, "_MAX_LEVELS", 2)
+        verdict = gc.brute_force_equivalence(rho, sigma)
+        assert verdict.witness == "search exhausted"
+        assert np.isfinite(verdict.best_residual)
 
     @settings(max_examples=80, deadline=None)
     @given(

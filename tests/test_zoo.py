@@ -65,6 +65,15 @@ class TestDisplacedSqueezed:
             quarter.cov, np.diag([np.exp(-2 * r), np.exp(2 * r)]), atol=1e-12
         )
 
+    @pytest.mark.parametrize("r", [7.0, 9.0, 12.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_unrotated_strong_squeezing_is_exact(self, sign, r):
+        # theta = 0 or pi; cosh - sinh would cancel to nu - 1 = -5.4e-5 at
+        # r = 7, and to a singular covariance at r = 12
+        state = gc.displaced_squeezed(0.0, sign * r)
+        assert abs(state.spectrum[0] - 1.0) <= 1e-15
+        assert np.max(state.cov.diagonal()) == pytest.approx(np.exp(2 * r), rel=1e-14)
+
 
 class TestDisplacedSqueezedEquivalent:
     def test_same_parameters(self):
