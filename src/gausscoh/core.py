@@ -244,14 +244,18 @@ def is_incoherent_state(state: GaussianState) -> list[float] | None:
     zero mean, no cross-mode correlations, and each mode block equal to
     (2 n_i + 1) I_2, within :func:`default_tol`. Returns ``None`` otherwise.
     The mean, then ``state.cross`` answer first; only a state within
-    tolerance on both takes :func:`isotropic_split` for its mode blocks.
+    tolerance on both reads its mode blocks' anisotropies, the diagonal of
+    :func:`isotropic_split`'s table in its arithmetic.
     """
     t = DEFAULT_TOL_REL * state.scale
-    mean = state.mean
+    cov, mean = state.cov, state.mean
     # ||d||, in the arithmetic of np.linalg.norm for a real vector
     if math.sqrt(mean.dot(mean)) > t or state.cross.max() > t:
         return None
-    lam, rest = isotropic_split(state.cov)
-    if rest.max() > t:
+    diag = cov.diagonal()
+    lam = (diag[0::2] + diag[1::2]) / 2.0
+    # ||V_ii - lam_i I||_F, in the order of block_norms' sums
+    a, b, c, d = diag[0::2] - lam, cov.diagonal(1)[0::2], cov.diagonal(-1)[0::2], diag[1::2] - lam
+    if np.sqrt((a * a + b * b) + (c * c + d * d)).max() > t:
         return None
     return [max((x - 1.0) / 2.0, 0.0) for x in lam]

@@ -16,12 +16,12 @@ each mean, fixes an angle, a difference or a sum of two angles in closed
 form, so no angle is scanned. A placed mode's mean and blocks to the modes
 placed before it are checked at once against the acceptance threshold;
 each complete assignment is accepted only on its full residual. When the
-labels leave every mode one target, the walk defers those checks, as every
-one bounds the residual from below: each component's free phase is fixed
-where the checked walk would, or left where no part moves with it (the
-exact gauge of a zero-mean isotropic state), and the full residual
-decides. Only when every leaf so reached fails does a checked walk run,
-for the best residual.
+labels, or before them the local weights alone, leave every mode one
+target, the walk defers those checks, as every one bounds the residual
+from below: each component's free phase is fixed where the checked walk
+would, or left where no part moves with it (the exact gauge of a
+zero-mean isotropic state), and the full residual decides. Only when every
+leaf so reached fails does a checked walk run, for the best residual.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,11 +150,11 @@ def check_hypothesis(state: GaussianState) -> HypothesisViolated | None:
         if is_incoherent_state(state) is None:
             return None
         return HypothesisViolated(0, "one-mode state is incoherent (d = 0 and V is isotropic)")
-    lonely = np.flatnonzero(state.cross <= DEFAULT_TOL_REL * state.scale)
-    if lonely.size:
-        i = int(lonely[0])
-        return HypothesisViolated(mode=i, reason=f"mode {i} has no nonzero off-diagonal block")
-    return None
+    t = DEFAULT_TOL_REL * state.scale
+    if state.cross.min() > t:
+        return None
+    i = int(np.flatnonzero(state.cross <= t)[0])
+    return HypothesisViolated(mode=i, reason=f"mode {i} has no nonzero off-diagonal block")
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +444,21 @@ def _walk(rho, sigma, accept, anchor, parts, targets, order, parent, full):
     return found, best
 
 
+def _walker(rho, sigma, accept: float, p, q, d, abs_p, abs_q):
+    """:func:`_walk` over rho's BFS tree, as a function of its targets and ``full``;
+    ``abs_p`` and ``abs_q`` are rho's |P| and |Q|."""
+    m = rho.modes
+    # parts below this scale give unreliable angles for the other blocks
+    anchor = max(10.0 * accept, 1e-6)
+    strong = (abs_p > anchor) | (abs_q > anchor)
+    strong.flat[:: m + 1] = False
+    order, parent = _bfs_order(strong.tolist())
+    parts = (p.tolist(), q.tolist(), d.tolist())
+    return lambda targets, full: _walk(
+        rho, sigma, accept, anchor, parts, targets, order, parent, full
+    )
+
+
 def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     """Backtracking search for a permutation and angles taking rho to sigma.
 
@@ -459,14 +475,18 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     When some mean is nonzero, x^t V x of :func:`_mean_quadratic` comes
     first: two values further apart than the holonomy band of :func:`_bands`
     give "mode fingerprints" before any label is taken, as the per-mode
-    terms x_i^t (V x)_i, whose sums differ, cannot be matched. A mode may go
-    only to modes with its labels within the label band; when that leaves a
-    choice and a mean is nonzero, also with its holonomies within the
-    holonomy band. A mode left without one: "mode fingerprints". When every
-    mode is left one, :func:`_walk` first runs without its per-mode tests;
-    only when the leaves it reaches all fail does a second, full walk find
-    which of them the search reaches, for ``best_residual``. The block parts
-    of both covariances come from one stack, built after the x^t V x test.
+    terms x_i^t (V x)_i, whose sums differ, cannot be matched. When rho's
+    local weights tr V_ii / 2 (the labels' first column) lie over 3 label
+    bands apart and sigma's sorted weights each within a band of them, the
+    weights pin the permutation by rank, and :func:`_walk` runs on it
+    without its per-mode tests before any label is taken. The labels would
+    pin the same one, so after that they only reject or add the full walk.
+    A mode may go only to modes with its labels within the label band; when
+    that leaves a choice and a mean is nonzero, also with its holonomies
+    within the holonomy band. A mode left without one: "mode fingerprints".
+    When every mode is left one, :func:`_walk` first runs without its
+    per-mode tests; only when the leaves it reaches all fail does a second,
+    full walk find which of them the search reaches, for ``best_residual``.
     """
     m = rho.modes
     displaced = rho.mean.any() or sigma.mean.any()
@@ -477,6 +497,19 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     # each mode's mean (x, p) as the complex number x + i p
     d = np.array([rho.mean, sigma.mean]).view(complex)
     p, q = block_parts(np.array([rho.cov, sigma.cov]))
+    walk = first = None
+    weights = p.diagonal(axis1=1, axis2=2).real
+    w_r, w_s = weights.tolist()
+    w_r = sorted(w_r)
+    # two bands keep sigma's other weights out of a mode's band; a third absorbs rounding
+    if min(map(operator.sub, w_r[1:], w_r), default=math.inf) > 3.0 * band and (
+        max(map(abs, map(operator.sub, sorted(w_s), w_r))) <= band
+    ):
+        rank = weights.argsort(axis=1)
+        walk = _walker(rho, sigma, accept, p, q, d, np.abs(p[0]), np.abs(q[0]))
+        first = walk([[k] for k in rank[1][rank[0].argsort()].tolist()], False)
+        if first[0] is not None:
+            return first[0]
     abs_p, abs_q = np.abs(p), np.abs(q)
     lab_r, lab_s = _labels(p, abs_p, abs_q, d)
     compatible = (np.abs(lab_r[:, None] - lab_s[None, :]) <= band).all(axis=2)
@@ -489,22 +522,17 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     if not (compatible.any(axis=0).all() and compatible.any(axis=1).all()):
         return NotEquivalent(witness="mode fingerprints")
 
-    # parts below this scale give unreliable angles for the other blocks
-    anchor = max(10.0 * accept, 1e-6)
-    strong = (abs_p[0] > anchor) | (abs_q[0] > anchor)
-    strong.flat[:: m + 1] = False
-    order, parent = _bfs_order(strong.tolist())
-    parts = (p.tolist(), q.tolist(), d.tolist())
-    walk = functools.partial(_walk, rho, sigma, accept, anchor, parts)
+    walk = walk or _walker(rho, sigma, accept, p, q, d, abs_p[0], abs_q[0])
     if pairs == m:
         # the labels pin the permutation: no choice of target is left to search
         targets = [[k] for k in compatible.argmax(axis=1).tolist()]
-        found, best = walk(targets, order, parent, False)
+        # after a weight pin it is the weights' permutation, already walked
+        found, best = first or walk(targets, False)
         if found is None and best < math.inf:
-            found, best = walk(targets, order, parent, True)
+            found, best = walk(targets, True)
     else:
         targets = [list(itertools.compress(range(m), row)) for row in compatible.tolist()]
-        found, best = walk(targets, order, parent, True)
+        found, best = walk(targets, True)
     if found is not None:
         return found
     return NotEquivalent(

@@ -117,27 +117,29 @@ def standard_form_spectra(
     Returns (v_plus, v_minus, pt_v_plus, pt_v_minus) where
     v_pm = sqrt((Delta pm sqrt(Delta^2 - 4 det V)) / 2) with
     Delta = a^2 + b^2 + 2 c d and det V = (ab - c^2)(ab - d^2); the partial
-    transpose flips the sign of the momentum correlation (d -> -d). The
-    discriminant is taken as (a^2 - b^2)^2 + 4 (ac + bd)(bc + ad), which
-    rounds relative to its terms, not to Delta^2 as the difference does.
+    transpose flips the sign of the momentum correlation (d -> -d). Delta,
+    det V and the discriminant are exact in the four doubles
+    (:class:`fractions.Fraction`), and v_minus^2 is taken as
+    2 det V / (Delta + sqrt(disc)), so that no difference cancels. A negative
+    discriminant raises :class:`NumericError`, a non-finite input ValueError.
     """
-    split = ((a - b) * (a + b)) ** 2
+    # imported here: fractions imports decimal, which every CLI process would load
+    from fractions import Fraction
+    if not all(map(math.isfinite, (a, b, c, d_corr))):
+        raise ValueError(f"parameters must be finite, got {(a, b, c, d_corr)!r}")
+    a, b, c, d_corr = map(Fraction, (a, b, c, d_corr))
 
-    def _pair(d: float) -> tuple[float, float]:
-        delta = a * a + b * b + 2.0 * c * d
-        # ac + bd = c (a - b) + b (c + d) and bc + ad = a (c + d) - c (a - b):
-        # a - b and c + d keep their digits where a ~ b and d ~ -c
-        t, s = c * (a - b), c + d
-        cross = 4.0 * (t + b * s) * (a * s - t)
-        disc = split + cross
-        if disc < -1e-12 * (split + abs(cross)):  # beyond rounding
+    def _pair(d: Fraction) -> tuple[float, float]:
+        delta = a * a + b * b + 2 * c * d
+        det = (a * b - c * c) * (a * b - d * d)
+        disc = delta * delta - 4 * det
+        if disc < 0:
             raise NumericError(
-                f"negative discriminant {disc:.3e}: parameters are unphysical"
+                f"negative discriminant {float(disc):.3e}: parameters are unphysical"
             )
-        root = math.sqrt(max(disc, 0.0))
-        v_plus = math.sqrt((delta + root) / 2.0)
-        v_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
-        return v_plus, v_minus
+        total = float(delta) + math.sqrt(disc)
+        v_minus = math.sqrt(max(2.0 * float(det) / total, 0.0)) if total else 0.0
+        return math.sqrt(total / 2.0), v_minus
 
     v_plus, v_minus = _pair(d_corr)
     pt_plus, pt_minus = _pair(-d_corr)

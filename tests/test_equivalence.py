@@ -206,6 +206,27 @@ class TestCheckHypothesis:
                 assert verdict == want
 
 
+    @pytest.mark.parametrize("m", [64, 128])
+    @pytest.mark.parametrize("kind", ["isotropic", "diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("size", [0.25, 4.0])
+    def test_thermal_products_answer_as_isotropic_split(self, m, kind, size):
+        # one mode's block gets a traceless anisotropy of size times default_tol,
+        # on its diagonal or off it; stage 1 reads only the diagonal blocks
+        cov = gc.thermal(np.linspace(0.0, 3.0, m)).cov.copy()
+        t = DEFAULT_TOL_REL * np.linalg.norm(cov)
+        k = m // 3
+        if kind != "isotropic":
+            shape = [[1.0, 0.0], [0.0, -1.0]] if kind == "diagonal" else [[0.0, 1.0], [1.0, 0.0]]
+            cov[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += size * t * np.array(shape)
+        state = gc.validate_state(cov, np.zeros(2 * m))
+        lam, rest = isotropic_split(state.cov)
+        want = None
+        if np.max(rest) <= DEFAULT_TOL_REL * state.scale:
+            want = [max((x - 1.0) / 2.0, 0.0) for x in lam]
+        assert (want is None) == (kind != "isotropic" and size > 1.0)
+        assert gc.is_incoherent_state(state) == want
+
+
 class TestDecideEquivalence:
     @pytest.mark.parametrize(
         "pair, tol, want",
@@ -535,6 +556,19 @@ def _walk_spy(monkeypatch):
     return walks
 
 
+def _label_spy(monkeypatch):
+    """Make ``equivalence._labels`` record the mode count of each label table
+    it builds, in a list."""
+    tables, real = [], equivalence._labels
+
+    def spy(p, abs_p, abs_q, d):
+        tables.append(d.shape[-1])
+        return real(p, abs_p, abs_q, d)
+
+    monkeypatch.setattr(equivalence, "_labels", spy)
+    return tables
+
+
 def _full_walks():
     """Patch ``equivalence._walk`` to run every per-mode test on every walk,
     as the search does on a permutation the labels leave open."""
@@ -752,6 +786,65 @@ class TestSearch:
         assert isinstance(forked, gc.Equivalent)
         # each pinned pair takes one walk without the per-mode tests
         assert walks == [(False, planted), (False, None), (False, path), (False, forked)]
+
+    def test_weights_pin_a_generic_pair_before_any_label(self, monkeypatch):
+        rho, sigma = _generic_pair(8, 8, 1.0)
+        tables, walks = _label_spy(monkeypatch), _walk_spy(monkeypatch)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.Equivalent)
+        assert tables == [] and walks == [(False, verdict)]
+        # a walk that finds nothing sends the pair on to the labels, which pin
+        # the same permutation: its walk is not repeated
+        tables.clear(), walks.clear()
+        rotated = gc.decide_equivalence(*_generic_pair(8, 8, 0.01, rotated=True))
+        assert rotated == gc.NotEquivalent(witness="search exhausted", best_residual=None)
+        assert tables == [8] and walks == [(False, None)]
+
+    @pytest.mark.parametrize("spacing", [2.5, 3.5])
+    def test_weights_under_three_bands_apart_take_the_labels(self, spacing, monkeypatch):
+        # rho's local weights tr V_ii / 2 set to spacing label bands apart, in
+        # their old order; the verdict is the checked search's either way
+        base, _, planted = equivalent_pair(RandomStateRecipe(modes=4, seed=3))
+        lam = base.cov.diagonal().reshape(-1, 2).mean(axis=1)
+        cov = base.cov + np.kron(np.diag(lam.max() - lam), np.eye(2))
+        band = 1e-6 * max(1.0, np.linalg.norm(cov))
+        cov += np.kron(np.diag(spacing * band * lam.argsort().argsort()), np.eye(2))
+        rho = gc.validate_state(cov, base.mean)
+        sigma = gc.apply_incoherent_unitary(planted, rho)
+        gaps = np.diff(np.sort(rho.cov.diagonal().reshape(-1, 2).mean(axis=1)))
+        assert np.allclose(gaps / equivalence._bands(rho, 0.0)[0], spacing, rtol=1e-3)
+        with _full_walks():
+            searched = gc.decide_equivalence(rho, sigma)
+        tables, walks = _label_spy(monkeypatch), _walk_spy(monkeypatch)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert isinstance(verdict, gc.Equivalent) and verdict.certificate.perm == planted.perm
+        assert repr(verdict) == repr(searched)
+        assert tables == ([4] if spacing < 3.0 else []) and walks == [(False, verdict)]
+
+    def test_weak_part_roots_that_both_fail(self, monkeypatch):
+        # an isotropic path with anisotropies of 3e-7, below the anchor, on
+        # modes 0 and 2: w stays free to the end, and the strongest weak part,
+        # a local reflection part, fixes it. With mode 2's anisotropy turned by
+        # 0.6 rad in sigma, neither root meets both modes. Equal weights: the
+        # labels pin the permutation
+        cov = _isotropic_path(4)
+        anisotropy = 3e-7 * np.diag([1.0, -1.0])
+        cov[0:2, 0:2] += anisotropy
+        cov[4:6, 4:6] += anisotropy
+        rho = gc.validate_state(cov, np.zeros(8))
+        turned = cov.copy()
+        turned[4:6, 4:6] = 3.0 * np.eye(2) + rotation(0.6) @ anisotropy @ rotation(0.6).T
+        sigma = gc.validate_state(turned, np.zeros(8))
+        tables, walks = _label_spy(monkeypatch), _walk_spy(monkeypatch)
+        verdict = gc.decide_equivalence(rho, sigma)
+        assert np.abs(rho.spectrum - sigma.spectrum).max() < 1e-14
+        assert verdict.witness == "search exhausted"
+        assert verdict.best_residual == pytest.approx(4.79e-7, rel=1e-3)
+        assert tables == [4] and walks == [(False, None), (True, None)]
+        copy = gc.validate_state(cov.copy(), np.zeros(8))
+        assert gc.decide_equivalence(rho, copy) == gc.Equivalent(
+            certificate=gc.IncoherentUnitary(perm=(0, 1, 2, 3), angles=(0.0,) * 4), residual=0.0
+        )
 
     def test_a_settled_pair_takes_one_matrix_norm(self, monkeypatch):
         # every tolerance reads state.scale: only the leaf residual's ||.||_F is

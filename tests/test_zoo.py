@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -219,6 +220,59 @@ class TestStandardFormSpectra:
             assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * size
             checked += 1
         assert checked > 200
+
+    @staticmethod
+    def _spectra_60(a, b, c, d):
+        """(v_plus, v_minus, pt_v_plus, pt_v_minus) in 60-digit arithmetic."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a, b, c, d = map(Decimal, (a, b, c, d))
+            out = []
+            for d in (d, -d):
+                delta = a * a + b * b + 2 * c * d
+                # (a^2 - b^2)^2 + 4 (ac + bd)(bc + ad) = Delta^2 - 4 det V, with
+                # no rounding to a negative value where it is 0
+                root = ((a * a - b * b) ** 2 + 4 * (a * c + b * d) * (b * c + a * d)).sqrt()
+                out += [((delta + root) / 2).sqrt(), ((delta - root) / 2).sqrt()]
+            return out
+
+    def _assert_within_8_eps(self, params):
+        got = gc.standard_form_spectra(*params)
+        for value, want in zip(got, self._spectra_60(*params)):
+            assert abs(Decimal(value) - want) <= 8 * Decimal(np.finfo(float).eps) * want
+
+    def test_degenerate_pure_state_at_large_occupation(self):
+        # a = b = 1e5, c = -d = sqrt(a^2 - 1): Delta - sqrt(disc) in doubles
+        # cancelled to nu_- = 0.9999990463, where the exact value is 0.9999994417
+        c = math.sqrt(1e10 - 1.0)
+        self._assert_within_8_eps((1e5, 1e5, c, -c))
+        _, v_minus, _, _ = gc.standard_form_spectra(1e5, 1e5, c, -c)
+        assert v_minus == pytest.approx(0.9999994417, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_degenerate_near_pure_sweep(self, seed):
+        # a ~ b up to 1e5, d ~ -c and ab - c^2 down to 1: nu_-^2
+        # near 1 sits up to ten digits below Delta, and every nu is within 8 eps
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(100):
+            a = 10.0 ** rng.uniform(0.5, 5.0)
+            b = a * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -4.0))
+            gap = 10.0 ** rng.uniform(0.0, math.log10(a * b))
+            c = rng.choice([-1.0, 1.0]) * math.sqrt(a * b - gap)
+            d = -c * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -6.0))
+            try:
+                gc.two_mode_standard_form(a, b, c, d)
+            except gc.UncertaintyViolationError:
+                continue
+            self._assert_within_8_eps((a, b, c, d))
+            checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            gc.standard_form_spectra(2.0, 2.0, 1.0, bad)
 
     def test_unphysical_parameters_raise(self):
         # 2 |c| > a + b with d = -c: Omega V has real eigenvalues
