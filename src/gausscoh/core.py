@@ -258,4 +258,4 @@ def is_incoherent_state(state: GaussianState) -> list[float] | None:
     a, b, c, d = diag[0::2] - lam, cov.diagonal(1)[0::2], cov.diagonal(-1)[0::2], diag[1::2] - lam
     if np.sqrt((a * a + b * b) + (c * c + d * d)).max() > t:
         return None
-    return [max((x - 1.0) / 2.0, 0.0) for x in lam]
+    return [max((x - 1.0) / 2.0, 0.0) for x in lam.tolist()]

@@ -7,21 +7,23 @@ that group directly and emits the unitary as a verifiable certificate.
 
 After the cheap checks (incoherence, the theorem's hypothesis, the
 symplectic spectrum, the mean's quadratic invariant of
-:func:`_mean_quadratic`, per-mode labels refined by the mean holonomies of
-:func:`_holonomies`), one backtracking walk, :func:`_walk`, takes the modes
-of rho in BFS order over its cross blocks and gives each a target mode and
-an angle together. Every 2x2 block splits into a rotation part and a
-reflection part (:func:`gausscoh.core.block_parts`), and each part, like
-each mean, fixes an angle, a difference or a sum of two angles in closed
-form, so no angle is scanned. A placed mode's mean and blocks to the modes
-placed before it are checked at once against the acceptance threshold;
-each complete assignment is accepted only on its full residual. When the
-labels, or before them the local weights alone, leave every mode one
-target, the walk defers those checks, as every one bounds the residual
-from below: each component's free phase is fixed where the checked walk
-would, or left where no part moves with it (the exact gauge of a
-zero-mean isotropic state), and the full residual decides. Only when every
-leaf so reached fails does a checked walk run, for the best residual.
+:func:`_mean_quadratic`, the local weights tr V_ii / 2, which reject the
+pair or pin its permutation when they lie apart, per-mode labels refined by
+the mean holonomies of :func:`_holonomies`), one backtracking walk,
+:func:`_walk`, takes the modes of rho in BFS order over its cross blocks
+and gives each a target mode and an angle together. Every 2x2 block splits
+into a rotation part and a reflection part
+(:func:`gausscoh.core.block_parts`), and each part, like each mean, fixes
+an angle, a difference or a sum of two angles in closed form, so no angle
+is scanned. A placed mode's mean and blocks to the modes placed before it
+are checked at once against the acceptance threshold; each complete
+assignment is accepted only on its full residual. When the labels, or
+before them the local weights alone, leave every mode one target, the walk
+defers those checks, as every one bounds the residual from below: each
+component's free phase is fixed where the checked walk would, or left where
+no part moves with it (the exact gauge of a zero-mean isotropic state), and
+the full residual decides. Only when every leaf so reached fails does a
+checked walk run, for the best residual.
 """
 
 from __future__ import annotations
@@ -475,12 +477,13 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     When some mean is nonzero, x^t V x of :func:`_mean_quadratic` comes
     first: two values further apart than the holonomy band of :func:`_bands`
     give "mode fingerprints" before any label is taken, as the per-mode
-    terms x_i^t (V x)_i, whose sums differ, cannot be matched. When rho's
-    local weights tr V_ii / 2 (the labels' first column) lie over 3 label
-    bands apart and sigma's sorted weights each within a band of them, the
-    weights pin the permutation by rank, and :func:`_walk` runs on it
-    without its per-mode tests before any label is taken. The labels would
-    pin the same one, so after that they only reject or add the full walk.
+    terms x_i^t (V x)_i, whose sums differ, cannot be matched. Local
+    weights tr V_ii / 2 (the labels' first column) of rho over 3 label bands
+    apart settle the pair before any block part: the first column then
+    allows only the rank matching. Sorted weights of sigma off by over a
+    band give "mode fingerprints"; else :func:`_walk` runs on that matching
+    without its per-mode tests, and if it finds nothing, only the matched
+    rows of the labels are compared, to reject or to add the full walk.
     A mode may go only to modes with its labels within the label band; when
     that leaves a choice and a mean is nonzero, also with its holonomies
     within the holonomy band. A mode left without one: "mode fingerprints".
@@ -494,25 +497,34 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     # no incoherent unitary moves x^t V x, and no label is needed to see it
     if displaced and abs(_mean_quadratic(rho) - _mean_quadratic(sigma)) > h_band:
         return NotEquivalent(witness="mode fingerprints")
+    # tr V_ii, twice each mode's local weight (the labels' first column) in its
+    # bits: halving is exact, so each test below is the labels' at twice the band
+    diag_r, diag_s = rho.cov.diagonal(), sigma.cov.diagonal()
+    tr_r, tr_s = diag_r[0::2] + diag_r[1::2], diag_s[0::2] + diag_s[1::2]
+    ranked = sorted(tr_r.tolist())
+    pin = walk = first = None
+    # two bands keep sigma's other weights out of a mode's band; a third absorbs rounding
+    if min(map(operator.sub, ranked[1:], ranked), default=math.inf) > 6.0 * band:
+        # a sigma weight within a band of one of rho's is within it of no other
+        if max(map(abs, map(operator.sub, sorted(tr_s.tolist()), ranked))) > 2.0 * band:
+            return NotEquivalent(witness="mode fingerprints")
+        pin = tr_s.argsort()[tr_r.argsort().argsort()]
     # each mode's mean (x, p) as the complex number x + i p
     d = np.array([rho.mean, sigma.mean]).view(complex)
     p, q = block_parts(np.array([rho.cov, sigma.cov]))
-    walk = first = None
-    weights = p.diagonal(axis1=1, axis2=2).real
-    w_r, w_s = weights.tolist()
-    w_r = sorted(w_r)
-    # two bands keep sigma's other weights out of a mode's band; a third absorbs rounding
-    if min(map(operator.sub, w_r[1:], w_r), default=math.inf) > 3.0 * band and (
-        max(map(abs, map(operator.sub, sorted(w_s), w_r))) <= band
-    ):
-        rank = weights.argsort(axis=1)
+    if pin is not None:
         walk = _walker(rho, sigma, accept, p, q, d, np.abs(p[0]), np.abs(q[0]))
-        first = walk([[k] for k in rank[1][rank[0].argsort()].tolist()], False)
+        first = walk([[k] for k in pin.tolist()], False)
         if first[0] is not None:
             return first[0]
     abs_p, abs_q = np.abs(p), np.abs(q)
     lab_r, lab_s = _labels(p, abs_p, abs_q, d)
-    compatible = (np.abs(lab_r[:, None] - lab_s[None, :]) <= band).all(axis=2)
+    if pin is None:
+        compatible = (np.abs(lab_r[:, None] - lab_s[None, :]) <= band).all(axis=2)
+    else:
+        # the weights leave mode i no target but pin[i]: only that row can match
+        compatible = np.zeros((m, m), dtype=bool)
+        compatible[np.arange(m), pin] = (np.abs(lab_r - lab_s[pin]) <= band).all(axis=1)
     pairs = np.count_nonzero(compatible)
     # refine only a choice the moduli leave; with zero means every holonomy is 0
     if pairs > m and displaced:

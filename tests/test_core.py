@@ -339,6 +339,15 @@ class TestIsIncoherentState:
         n = gc.is_incoherent_state(gc.thermal([0.5, 2.0]))
         np.testing.assert_allclose(n, [0.5, 2.0])
 
+    def test_occupations_are_python_floats(self):
+        # np.float64 subclasses float, so the exact type is checked; the values
+        # are those of the weights' numpy arithmetic
+        state = gc.thermal([0.5, 2.0, 0.0, 7.25])
+        n = gc.is_incoherent_state(state)
+        assert [type(x) for x in n] == [float] * 4
+        lam = isotropic_split(state.cov)[0]
+        assert n == [max(float(x - 1.0) / 2.0, 0.0) for x in lam]
+
     def test_coherent_not_incoherent(self):
         assert gc.is_incoherent_state(gc.coherent(1.0)) is None
 

@@ -576,6 +576,52 @@ def _full_walks():
     return mock.patch.object(equivalence, "_walk", lambda *args: real(*args[:-1], True))
 
 
+def _parts_spy(monkeypatch):
+    """Make ``equivalence.block_parts`` record the shape of each stack it
+    splits, in a list."""
+    calls, real = [], equivalence.block_parts
+
+    def spy(cov):
+        calls.append(cov.shape)
+        return real(cov)
+
+    monkeypatch.setattr(equivalence, "block_parts", spy)
+    return calls
+
+
+def _tensor_spy(monkeypatch):
+    """Make ``np.abs`` record the mode count m of each m x m x (2m + 3) label
+    tensor it takes, the full comparison of two label tables, in a list."""
+    tensors, real = [], np.abs
+
+    def spy(x, *args, **kwargs):
+        shape = np.shape(x)
+        if len(shape) == 3 and shape[0] == shape[1] and shape[2] == 2 * shape[0] + 3:
+            tensors.append(shape[0])
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", spy)
+    return tensors
+
+
+def _weights(state):
+    """Each mode's local weight tr V_ii / 2."""
+    return state.cov.diagonal().reshape(-1, 2).mean(axis=1)
+
+
+def _mixed(rho, planted, angle):
+    """rho after a beam splitter on modes 0 and 1 (one mode: a squeezer), then
+    ``planted``: the spectrum is kept, by a beam splitter x^t V x too, and
+    the local blocks move."""
+    if rho.modes == 1:
+        mixer = np.diag([np.exp(angle), np.exp(-angle)])
+    else:
+        mixer = np.eye(2 * rho.modes)
+        mixer[0:4, 0:4] = np.kron(rotation(angle), np.eye(2))
+    image = gc.validate_state(mixer @ rho.cov @ mixer.T, mixer @ rho.mean)
+    return gc.apply_incoherent_unitary(planted, image)
+
+
 class TestSearch:
     """Inputs whose labels leave many targets, or whose angles no mean or
     local anisotropy fixes, and the closed form for pinned permutations."""
@@ -820,6 +866,84 @@ class TestSearch:
         assert isinstance(verdict, gc.Equivalent) and verdict.certificate.perm == planted.perm
         assert repr(verdict) == repr(searched)
         assert tables == ([4] if spacing < 3.0 else []) and walks == [(False, verdict)]
+
+    def test_spread_weights_reject_a_beam_splitter_negative(self, monkeypatch):
+        # the beam splitter keeps the spectrum and x^t V x; rho's weights lie
+        # over 3 bands apart, so sigma's, off rho's by rank, leave a mode no
+        # partner before any block part is taken
+        rho, _, planted = equivalent_pair(RandomStateRecipe(modes=8, seed=8))
+        sigma = _mixed(rho, planted, 0.7)
+        band, h_band = equivalence._bands(rho, _accept(rho))
+        assert np.abs(rho.spectrum - sigma.spectrum).max() <= _accept(rho)
+        quadratic = equivalence._mean_quadratic
+        assert abs(quadratic(rho) - quadratic(sigma)) <= h_band
+        assert np.diff(np.sort(_weights(rho))).min() > 3.0 * band
+        parts, tables = _parts_spy(monkeypatch), _label_spy(monkeypatch)
+        assert gc.decide_equivalence(rho, sigma) == gc.NotEquivalent(witness="mode fingerprints")
+        assert parts == [] and tables == []
+
+    def test_weight_pinned_negatives_compare_only_the_pinned_rows(self, monkeypatch):
+        # sigma's largest mean lengthened by two bands: covariance, spectrum and
+        # weights are kept, and x^t V x stays within its band
+        rho, sigma = _generic_pair(8, 8, 1.0)
+        band, h_band = equivalence._bands(rho, _accept(rho))
+        k = int(np.argmax(np.linalg.norm(sigma.mean.reshape(-1, 2), axis=1)))
+        mean = sigma.mean.copy()
+        mean[2 * k : 2 * k + 2] *= 1.0 + 2.0 * band / np.linalg.norm(mean[2 * k : 2 * k + 2])
+        stretched = gc.validate_state(sigma.cov, mean)
+        quadratic = equivalence._mean_quadratic
+        assert abs(quadratic(rho) - quadratic(stretched)) <= h_band
+        tensors, tables = _tensor_spy(monkeypatch), _label_spy(monkeypatch)
+        walks = _walk_spy(monkeypatch)
+        verdict = gc.decide_equivalence(rho, stretched)
+        # the pinned walk's leaf fails; then mode k's row sees |d_k| move
+        assert verdict == gc.NotEquivalent(witness="mode fingerprints")
+        assert tables == [8] and walks == [(False, None)]
+        # noise on the image: the pinned rows pass, and the checked walk
+        # reaches a leaf, for best_residual
+        walks.clear()
+        verdict = gc.decide_equivalence(*_generic_pair(6, 0, 1.0, noise=2e-8))
+        assert verdict.witness == "search exhausted"
+        assert verdict.best_residual == pytest.approx(4.793664792203691e-07, rel=1e-6)
+        assert tables == [8, 6] and walks == [(False, None), (True, None)]
+        assert tensors == []
+        # equal weights: a zero-mean isotropic path compares the whole tensor
+        rho = gc.validate_state(_isotropic_path(8), np.zeros(16))
+        sigma = gc.apply_incoherent_unitary(random_incoherent_unitary(8, np.random.default_rng(8)), rho)
+        assert isinstance(gc.decide_equivalence(rho, sigma), gc.Equivalent)
+        assert tensors == [8]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        mean_scale=st.sampled_from([0.0, 0.01, 1.0, 30.0]),
+        kind=st.sampled_from(["planted", "perturbed", "mixed", "mean-rotated"]),
+    )
+    def test_a_weight_rejection_leaves_a_mode_no_partner(self, m, seed, mean_scale, kind):
+        recipe = RandomStateRecipe(modes=m, seed=seed, mean_scale=mean_scale)
+        if kind == "perturbed":
+            rho, sigma = perturbed_pair(recipe, magnitude=1e-7)
+        elif kind == "mixed":
+            rho, _, planted = equivalent_pair(recipe)
+            sigma = _mixed(rho, planted, 0.2 + seed % 100 / 100.0)
+        else:
+            rho, sigma = _generic_pair(m, seed, mean_scale, rotated=kind == "mean-rotated")
+        band, h_band = equivalence._bands(rho, _accept(rho))
+        with mock.patch.object(equivalence, "block_parts", wraps=block_parts) as parts:
+            verdict = gc.decide_equivalence(rho, sigma)
+        quadratic = equivalence._mean_quadratic
+        kept = not (rho.mean.any() or sigma.mean.any()) or (
+            abs(quadratic(rho) - quadratic(sigma)) <= h_band
+        )
+        if verdict != gc.NotEquivalent(witness="mode fingerprints") or parts.called or not kept:
+            return
+        # rejected by the weights: the full label comparison agrees
+        p, q = block_parts(np.stack([rho.cov, sigma.cov]))
+        d = np.stack([rho.mean, sigma.mean]).view(complex)
+        lab_r, lab_s = equivalence._labels(p, np.abs(p), np.abs(q), d)
+        compatible = (np.abs(lab_r[:, None] - lab_s[None, :]) <= band).all(axis=2)
+        assert not (compatible.any(axis=0).all() and compatible.any(axis=1).all())
 
     def test_weak_part_roots_that_both_fail(self, monkeypatch):
         # an isotropic path with anisotropies of 3e-7, below the anchor, on

@@ -28,7 +28,7 @@ from gausscoh.sampling import (
     perturbed_pair,
     random_incoherent_unitary,
 )
-from test_equivalence import _isotropic_ring
+from test_equivalence import _isotropic_ring, _tensor_spy
 
 GOLDEN = Path(__file__).parent / "golden" / "verdicts.json"
 BEST_RESIDUALS = Path(__file__).parent / "golden" / "best_residuals.json"
@@ -152,3 +152,21 @@ def test_best_residuals_match_golden():
     assert list(got) == list(want)
     drifted = [label for label in got if not _same_best(got[label], want[label])]
     assert not drifted, f"{len(drifted)} best residuals drifted, first {drifted[:5]}"
+
+
+def test_exhausted_generic_pairs_compare_only_the_pinned_rows(monkeypatch):
+    # every generic pair the search exhausts has its weights pinned: the walks
+    # fail, the pinned label rows pass, and no full label tensor is compared
+    tensors = _tensor_spy(monkeypatch)
+    golden = json.loads(GOLDEN.read_text())
+    want = json.loads(BEST_RESIDUALS.read_text())
+    exhausted = 0
+    for k in range(160):
+        label, pair = _generic(k)
+        if golden[label].get("witness") != "search exhausted":
+            continue
+        verdict = gc.decide_equivalence(*pair)
+        assert verdict.witness == "search exhausted"
+        assert repr(verdict.best_residual) == want[label]
+        exhausted += 1
+    assert exhausted == 24 and tensors == []
