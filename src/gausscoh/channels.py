@@ -14,10 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL_REL,
     GaussianState,
     block_norms,
     checked_arrays,
+    checked_tol,
     default_tol,
+    finite_scale,
     is_incoherent_state,
     isotropic_split,
     rotation,
@@ -101,12 +104,14 @@ def validate_channel(
     T: np.ndarray, N: np.ndarray, shift: np.ndarray, tol: float | None = None
 ) -> GaussianChannel:
     """Check (T, N, shift) with :func:`gausscoh.core.checked_arrays`, which
-    symmetrizes N, then against the complete-positivity condition."""
+    symmetrizes N, then against the complete-positivity condition. Whatever
+    ``tol`` is, ||[T; N]||_F must be finite: it bounds every entry of T Omega T^t."""
     T, N, shift = checked_arrays({"T": T, "N": N}, {"shift": shift}, tol)
+    scale = finite_scale(np.block([[T], [N]]), "[T; N]")
     omega = symplectic_form(T.shape[0] // 2)
     herm = N + 1j * (omega - T @ omega @ T.T)
     min_eig = float(np.min(np.linalg.eigvalsh(herm)))
-    cp_tol = default_tol(np.block([[T], [N]]), tol)
+    cp_tol = DEFAULT_TOL_REL * scale if tol is None else checked_tol(tol)
     if min_eig < -cp_tol:
         raise NotCompletelyPositiveError(
             f"complete positivity violated: min eigenvalue {min_eig:.6g}",

@@ -2,7 +2,9 @@
 
 Every subcommand reads/writes single JSON documents. Exit codes:
 0 success, 1 negative domain verdict (not equivalent / not incoherent /
-not frozen), 2 input error, 3 numeric error.
+not frozen), 2 input error, 3 numeric error. Each subcommand imports the
+modules it uses inside its branch of ``_dispatch``, so that a call loads no
+more of the package than it runs.
 """
 
 from __future__ import annotations
@@ -13,30 +15,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import serialization as ser
-from .channels import apply_channel, classify_incoherent, petz_recovery
-from .coherence import relative_entropy_coherence
 from .core import checked_tol
-from .equivalence import (
-    AllIncoherent,
-    Equivalent,
-    HypothesisViolated,
-    NotEquivalent,
-    brute_force_equivalence,
-    decide_equivalence,
-    is_frozen,
-)
 from .errors import GaussCohError, NumericError
-from .sampling import RandomStateRecipe, equivalent_pair, random_state
-from .zoo import (
-    coherent,
-    displaced_squeezed,
-    equivalence_class_samples,
-    thermal,
-    two_mode_standard_form,
-)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -154,28 +135,27 @@ def _dispatch(args, tol) -> tuple[dict, int]:
         return ser.state_to_dict(state), EXIT_OK
 
     if args.command == "coherence":
+        from .coherence import relative_entropy_coherence
         report = relative_entropy_coherence(ser.load_state(args.state, tol))
-        return (
-            {
-                "n_bar": report.n_bar,
-                "entropy": report.entropy,
-                "c_rel_ent": report.c_rel_ent,
-                "reference": ser.state_to_dict(report.reference),
-            },
-            EXIT_OK,
-        )
+        doc = {
+            "n_bar": report.n_bar,
+            "entropy": report.entropy,
+            "c_rel_ent": report.c_rel_ent,
+            "reference": ser.state_to_dict(report.reference),
+        }
+        return doc, EXIT_OK
 
     if args.command == "spectrum":
         state = ser.load_state(args.state, tol)
         return {"symplectic_eigenvalues": state.spectrum.tolist()}, EXIT_OK
 
     if args.command == "apply":
-        out = apply_channel(
-            ser.load_channel(args.channel, tol), ser.load_state(args.state, tol)
-        )
+        from .channels import apply_channel
+        out = apply_channel(ser.load_channel(args.channel, tol), ser.load_state(args.state, tol))
         return ser.state_to_dict(out), EXIT_OK
 
     if args.command == "classify":
+        from .channels import classify_incoherent
         cls = classify_incoherent(ser.load_channel(args.channel, tol), tol)
         doc: dict = {"verdict": cls.verdict}
         if cls.reason is not None:
@@ -185,11 +165,17 @@ def _dispatch(args, tol) -> tuple[dict, int]:
         return doc, EXIT_OK if cls.is_incoherent else EXIT_NEGATIVE
 
     if args.command == "petz":
+        from .channels import petz_recovery
+        from .zoo import thermal
         channel = ser.load_channel(args.channel, tol)
         reference = thermal(_parse_floats(args.thermal))
         return ser.channel_to_dict(petz_recovery(channel, reference)), EXIT_OK
 
     if args.command == "equiv":
+        from .equivalence import (
+            AllIncoherent, Equivalent, HypothesisViolated, NotEquivalent,
+            brute_force_equivalence, decide_equivalence,
+        )
         rho = ser.load_state(args.a, tol)
         sigma = ser.load_state(args.b, tol)
         decide = brute_force_equivalence if args.oracle else decide_equivalence
@@ -213,9 +199,8 @@ def _dispatch(args, tol) -> tuple[dict, int]:
         return doc, EXIT_NEGATIVE
 
     if args.command == "frozen":
-        report = is_frozen(
-            ser.load_state(args.state, tol), ser.load_channel(args.channel, tol)
-        )
+        from .equivalence import is_frozen
+        report = is_frozen(ser.load_state(args.state, tol), ser.load_channel(args.channel, tol))
         doc = {
             "frozen": report.frozen,
             "coherence_in": report.coherence_in,
@@ -226,43 +211,37 @@ def _dispatch(args, tol) -> tuple[dict, int]:
         return doc, EXIT_OK if report.frozen else EXIT_NEGATIVE
 
     if args.command == "make":
+        from .zoo import coherent, displaced_squeezed, thermal, two_mode_standard_form
         if args.family == "thermal":
             state = thermal(_parse_floats(args.n))
         elif args.family == "coherent":
             state = coherent(_parse_complex(args.alpha))
         elif args.family == "squeezed":
-            state = displaced_squeezed(
-                _parse_complex(args.alpha), _parse_complex(args.beta)
-            )
+            state = displaced_squeezed(_parse_complex(args.alpha), _parse_complex(args.beta))
         else:
-            mean = np.array(_parse_floats(args.mean)) if args.mean else None
+            mean = _parse_floats(args.mean) if args.mean else None
             state = two_mode_standard_form(args.a, args.b, args.c, args.d_corr, mean)
         return ser.state_to_dict(state), EXIT_OK
 
     if args.command == "sample-class":
+        from .zoo import equivalence_class_samples
         state = ser.load_state(args.state, tol)
         plain, swapped = equivalence_class_samples(state, args.theta1, args.theta2)
-        return (
-            {
-                "plain": ser.state_to_dict(plain),
-                "swapped": ser.state_to_dict(swapped),
-            },
-            EXIT_OK,
-        )
+        doc = {"plain": ser.state_to_dict(plain), "swapped": ser.state_to_dict(swapped)}
+        return doc, EXIT_OK
 
     if args.command == "gen":
+        from .sampling import RandomStateRecipe, equivalent_pair, random_state
         recipe = RandomStateRecipe(modes=args.modes, seed=args.seed)
         if args.kind == "state":
             return ser.state_to_dict(random_state(recipe)), EXIT_OK
         rho, sigma, cert = equivalent_pair(recipe)
-        return (
-            {
-                "rho": ser.state_to_dict(rho),
-                "sigma": ser.state_to_dict(sigma),
-                "certificate": dataclasses.asdict(cert),
-            },
-            EXIT_OK,
-        )
+        doc = {
+            "rho": ser.state_to_dict(rho),
+            "sigma": ser.state_to_dict(sigma),
+            "certificate": dataclasses.asdict(cert),
+        }
+        return doc, EXIT_OK
 
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 

@@ -34,16 +34,26 @@ def checked_tol(raw) -> float:
     return tol
 
 
+def finite_scale(a: np.ndarray, name: str = "the matrix") -> float:
+    """max(1, ||a||_F); :class:`NonFiniteError` if the norm overflows, past about
+    1.3e154, as every tolerance relative to it would then pass any check."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise NonFiniteError(f"the Frobenius norm of {name} overflows")
+    return max(1.0, norm)
+
+
 def default_tol(cov: np.ndarray, tol: float | None = None) -> float:
     """Absolute tolerance for comparisons involving ``cov``.
 
-    Scales as ``DEFAULT_TOL_REL * max(1, ||cov||_F)`` unless an explicit
+    Scales as ``DEFAULT_TOL_REL * finite_scale(cov)`` unless an explicit
     override is given, which :func:`checked_tol` checks; for a built state
     that is ``DEFAULT_TOL_REL * state.scale``.
     """
     if tol is not None:
         return checked_tol(tol)
-    return DEFAULT_TOL_REL * max(1.0, float(np.linalg.norm(cov)))
+    return DEFAULT_TOL_REL * finite_scale(cov)
 
 
 def checked_arrays(matrices: dict, vectors: dict, tol: float | None = None) -> list:
@@ -98,14 +108,15 @@ class GaussianState:
     Do not construct directly; use :func:`validate_state` (or the helpers
     in :mod:`gausscoh.zoo`), which symmetrizes and checks the uncertainty
     relation. ``modes``, the read-only symplectic ``spectrum``, ``scale`` =
-    max(1, ||V||_F), which every tolerance on the state is relative to, and
-    the read-only ``cross``, each mode's largest cross-block Frobenius norm
-    (``[0.0]`` for one mode), are derived from the covariance once, when the
-    state is built. The spectrum comes from V's Cholesky factor, so a state
-    built directly on a V that is not positive definite raises
-    :class:`numpy.linalg.LinAlgError`. Nothing is written to a state once it
-    is built. States compare and hash by identity: two states built from
-    equal arrays are distinct objects, either a set member or a dict key.
+    max(1, ||V||_F), which every tolerance on the state is relative to and
+    which must be finite (:func:`finite_scale`), and the read-only ``cross``,
+    each mode's largest cross-block Frobenius norm (``[0.0]`` for one mode),
+    are derived from the covariance once, when the state is built. The
+    spectrum comes from V's Cholesky factor, so a state built directly on a V
+    that is not positive definite raises :class:`numpy.linalg.LinAlgError`.
+    Nothing is written to a state once it is built. States compare and hash
+    by identity: two states built from equal arrays are distinct objects,
+    either a set member or a dict key.
     """
 
     cov: np.ndarray
@@ -119,7 +130,7 @@ class GaussianState:
         object.__setattr__(self, "modes", self.cov.shape[0] // 2)
         for a in (self.cov, self.mean):
             a.setflags(write=False)
-        object.__setattr__(self, "scale", max(1.0, float(np.linalg.norm(self.cov))))
+        object.__setattr__(self, "scale", finite_scale(self.cov, "the covariance"))
         spectrum = _symplectic_spectrum(self.cov)
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_channel, classify_incoherent
-from .coherence import relative_entropy_coherence
 from .core import (
     DEFAULT_TOL_REL,
     GaussianState,
@@ -777,6 +775,9 @@ def is_frozen(rho: GaussianState, channel) -> FrozenReport:
     :func:`decide_equivalence`. A ``NotEquivalent`` verdict there contradicts
     that theorem and raises :class:`NumericError`.
     """
+    from .channels import apply_channel, classify_incoherent
+    from .coherence import relative_entropy_coherence
+
     cls = classify_incoherent(channel)
     if not cls.is_strict:
         raise ValueError(f"channel is not strictly incoherent: {cls.verdict}")

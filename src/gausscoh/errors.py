@@ -10,7 +10,7 @@ class ShapeError(GaussCohError):
 
 
 class NonFiniteError(GaussCohError):
-    """An input array holds a NaN or an infinite entry."""
+    """An input array holds a NaN or an infinite entry, or its norm overflows."""
 
 
 class NotSymmetricError(GaussCohError):

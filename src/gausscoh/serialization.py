@@ -10,12 +10,15 @@ from __future__ import annotations
 import json
 import numbers
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import GaussianChannel, validate_channel
 from .core import GaussianState, validate_state
 from .errors import ShapeError
+
+if TYPE_CHECKING:
+    from .channels import GaussianChannel
 
 
 def state_to_dict(state: GaussianState) -> dict:
@@ -41,6 +44,8 @@ def channel_to_dict(channel: GaussianChannel) -> dict:
 
 
 def channel_from_dict(doc: dict, tol: float | None = None) -> GaussianChannel:
+    from .channels import validate_channel
+
     T, N, shift = _read(doc, "channel", "T", "N", "shift")
     return validate_channel(T, N, shift, tol)
 

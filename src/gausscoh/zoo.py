@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .core import GaussianState, checked_tol, validate_state
-from .errors import NumericError
+from .errors import NonFiniteError, NumericError
 
 
 def thermal(n_bars: list[float]) -> GaussianState:
@@ -43,13 +43,17 @@ def displaced_squeezed(alpha: complex, beta: complex) -> GaussianState:
     ch(2|beta|) I + sh(2|beta|) [[cos theta, sin theta], [sin theta, -cos theta]]
     and the mean is 2(Re alpha, Im alpha). The diagonal is built as
     e^{-2|beta|} + 2 cos^2(theta/2) sh(2|beta|) and the same with sin^2, as
-    ch - sh cancels at large |beta|.
+    ch - sh cancels at large |beta|. Past |beta| of about 177, ||V||_F
+    overflows: :class:`NonFiniteError`.
     """
     alpha = complex(alpha)
     beta = complex(beta)
     r = abs(beta)
     theta = cmath.phase(beta) if r > 0 else 0.0
-    low, sh = math.exp(-2 * r), math.sinh(2 * r)
+    try:
+        low, sh = math.exp(-2 * r), math.sinh(2 * r)
+    except OverflowError:
+        raise NonFiniteError(f"sinh(2|beta|) overflows at |beta| = {r!r}") from None
     cov = np.array(
         [
             [low + 2.0 * math.cos(theta / 2) ** 2 * sh, math.sin(theta) * sh],
@@ -155,7 +159,7 @@ def equivalence_class_samples(
     mode-swapped member, both obtained by incoherent unitaries with
     per-mode rotation angles (theta1, theta2).
     """
-    # imported here: equivalence imports coherence, which imports this module
+    # imported here, so that building a state does not load the decider
     from .equivalence import IncoherentUnitary, apply_incoherent_unitary
 
     if state.modes != 2:

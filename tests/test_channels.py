@@ -34,6 +34,18 @@ class TestValidateChannel:
         with pytest.raises(gc.NonFiniteError):
             gc.validate_channel(parts["T"], parts["N"], parts["shift"])
 
+    @pytest.mark.parametrize(
+        "T",
+        [1e200 * np.eye(2), np.array([[1e200, 3e199], [0.0, 1e-300]])],
+        ids=["noiseless-amplifier", "not-scaled-orthogonal"],
+    )
+    @pytest.mark.parametrize("tol", [None, 0.1])
+    def test_overflowing_norm_rejected(self, T, tol):
+        # at an infinite tolerance the first passed complete positivity and both
+        # were classified strictly incoherent
+        with pytest.raises(gc.NonFiniteError, match=r"Frobenius norm of \[T; N\]"):
+            gc.validate_channel(T, np.zeros((2, 2)), np.zeros(2), tol)
+
     def test_shape_errors(self):
         with pytest.raises(gc.ShapeError):
             gc.validate_channel(np.eye(2), np.eye(4), np.zeros(2))

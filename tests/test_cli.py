@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -181,6 +182,31 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "UncertaintyViolationError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["make", "standard-form", "--a", "1e200", "--b", "1e200", "--c", "0",
+             "--d-corr", "0"],
+            ["make", "squeezed", "--beta=355"],
+            ["make", "squeezed", "--beta=356"],
+        ],
+        ids=["standard-form-norm", "squeezed-entries", "squeezed-sinh"],
+    )
+    def test_overflowing_make_is_input_error(self, argv):
+        # not a traceback with exit 1, nor a state with numpy overflow warnings
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "NonFiniteError"
+
+    def test_overflowing_channel_is_input_error(self, tmp_path):
+        path = tmp_path / "amplifier.json"
+        path.write_text('{"modes": 1, "T": [[1e200, 0], [0, 1e200]], "N": [[0, 0], [0, 0]],'
+                        ' "shift": [0, 0]}')
+        for argv in (["classify", str(path)], ["--tol", "0.1", "classify", str(path)]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"]["kind"] == "NonFiniteError"
 
     @pytest.mark.parametrize(
         "argv",
@@ -462,6 +488,89 @@ def test_import_loads_no_scipy():
     subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True
     )
+
+
+def _loaded(code, *args):
+    """The gausscoh submodules a fresh interpreter without bytecode holds after ``code``."""
+    src = str(Path(gc.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    report = "\nprint(json.dumps([m for m in sys.modules if m.startswith('gausscoh.')]))"
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code + report, *args],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+#: a subcommand's argv, with the fixture files it reads
+_LIGHT_COMMANDS = {
+    "validate": ["validate", "{state}"],
+    "spectrum": ["spectrum", "{state}"],
+    "coherence": ["coherence", "{state}"],
+    "apply": ["apply", "{rotation}", "{state}"],
+    "classify": ["classify", "{rotation}"],
+    "petz": ["petz", "{attenuator}", "--thermal", "1"],
+    "make": ["make", "squeezed", "--alpha", "1,0", "--beta", "0.5"],
+}
+_RUN = "from gausscoh import cli\nassert cli.run(sys.argv[1:]) == 0"
+
+
+class TestImportContract:
+    """Names load on first use, and each subcommand only the modules it runs."""
+
+    def test_package_import_loads_no_submodule(self):
+        assert _loaded("import gausscoh") == set()
+
+    @pytest.mark.parametrize("command", sorted(_LIGHT_COMMANDS))
+    def test_light_commands_load_no_decider(
+        self, command, coherent_file, rotation_file, attenuator_file
+    ):
+        files = {"state": coherent_file, "rotation": rotation_file, "attenuator": attenuator_file}
+        argv = [arg.format(**files) for arg in _LIGHT_COMMANDS[command]]
+        loaded = _loaded(_RUN, *argv)
+        assert not loaded & {"gausscoh.equivalence", "gausscoh.sampling"}
+
+    def test_equiv_loads_no_channel_or_state_family(self, coherent_file):
+        loaded = _loaded(_RUN, "equiv", coherent_file, coherent_file)
+        assert "gausscoh.equivalence" in loaded
+        modules = ("channels", "coherence", "zoo", "sampling")
+        assert not loaded & {f"gausscoh.{name}" for name in modules}
+
+    def test_submodules_import_by_name(self):
+        # perfbench imports these two; neither is a public name of the package
+        code = "from gausscoh import cli, serialization\nassert cli.run and serialization.dumps"
+        modules = {"cli", "core", "errors", "serialization"}
+        assert _loaded(code) == {f"gausscoh.{name}" for name in modules}
+
+    def test_unknown_attribute_raises_and_loads_nothing(self):
+        code = (
+            "import gausscoh\n"
+            "for name in ('nope', 'sampling', 'decide'):\n"
+            "    try:\n"
+            "        getattr(gausscoh, name)\n"
+            "    except AttributeError as exc:\n"
+            "        assert repr(name) in str(exc)\n"
+            "    else:\n"
+            "        raise AssertionError(name)\n"
+        )
+        assert _loaded(code) == set()
+
+    def test_every_public_name_is_its_home_modules_object(self):
+        names = [name for names in gc._HOMES.values() for name in names]
+        assert sorted(names) == gc.__all__ and len(set(names)) == 50
+        assert set(gc.__all__) <= set(dir(gc))
+        for home, names in gc._HOMES.items():
+            module = importlib.import_module(f"gausscoh.{home}")
+            for name in names:
+                assert getattr(gc, name) is getattr(module, name)
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from gausscoh import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == gc.__all__
+        assert len(namespace) == 50 and "validate_channel" in namespace
 
 
 def test_documents_are_utf8_under_an_ascii_locale(tmp_path):

@@ -184,6 +184,20 @@ class TestValidateState:
             assert ndims == [2]
             assert built.scale == max(1.0, real(built.cov))
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_overflowing_norm_rejected(self, seed):
+        # ||V||_F overflows while every entry is finite; an infinite scale would
+        # make every tolerance infinite, and the first state read all incoherent
+        state = random_state(RandomStateRecipe(modes=2, seed=seed))
+        for tol in (None, 1e-6):
+            with pytest.raises(gc.NonFiniteError, match="Frobenius norm of the covariance"):
+                gc.validate_state(1e200 * state.cov, 1e100 * state.mean, tol)
+        with pytest.raises(gc.NonFiniteError, match="Frobenius norm of the matrix"):
+            default_tol(1e200 * state.cov)
+        # just below the edge the norm is finite, and so is the state's scale
+        edge = gc.validate_state(9e153 * np.eye(2), np.zeros(2))
+        assert edge.scale == pytest.approx(9e153 * np.sqrt(2.0), rel=1e-15)
+
     @pytest.mark.parametrize("tol", [float("nan"), -1e-3, float("inf")])
     def test_bad_tolerance_rejected(self, tol):
         # a NaN tolerance would skip the uncertainty check and accept V = 0.1 I;

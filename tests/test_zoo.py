@@ -76,6 +76,14 @@ class TestDisplacedSqueezed:
         assert np.max(state.cov.diagonal()) == pytest.approx(np.exp(2 * r), rel=1e-14)
 
 
+    @pytest.mark.parametrize("r", [178.0, 355.0, 356.0, 1e300])
+    def test_overflowing_squeezing_rejected(self, r):
+        # ||V||_F overflows past r = 177, the entries at r = 355, and
+        # sinh(2r) itself past r = 355.2, which math.sinh raises as OverflowError
+        with pytest.raises(gc.NonFiniteError):
+            gc.displaced_squeezed(0.0, r)
+
+
 class TestDisplacedSqueezedEquivalent:
     def test_same_parameters(self):
         assert gc.displaced_squeezed_equivalent(1.0, 0.5, 1.0, 0.5)
