@@ -186,8 +186,8 @@ class TestValidateState:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_overflowing_norm_rejected(self, seed):
-        # ||V||_F overflows while every entry is finite; an infinite scale would
-        # make every tolerance infinite, and the first state read all incoherent
+        # ||V||_F overflows while every entry is finite; with an infinite scale
+        # every tolerance was infinite, and the decider read the pair all incoherent
         state = random_state(RandomStateRecipe(modes=2, seed=seed))
         for tol in (None, 1e-6):
             with pytest.raises(gc.NonFiniteError, match="Frobenius norm of the covariance"):

@@ -75,7 +75,6 @@ class TestDisplacedSqueezed:
         assert abs(state.spectrum[0] - 1.0) <= 1e-15
         assert np.max(state.cov.diagonal()) == pytest.approx(np.exp(2 * r), rel=1e-14)
 
-
     @pytest.mark.parametrize("r", [178.0, 355.0, 356.0, 1e300])
     def test_overflowing_squeezing_rejected(self, r):
         # ||V||_F overflows past r = 177, the entries at r = 355, and
