@@ -111,7 +111,8 @@ class GaussianState:
     max(1, ||V||_F), which every tolerance on the state is relative to and
     which must be finite (:func:`finite_scale`), and the read-only ``cross``,
     each mode's largest cross-block Frobenius norm (``[0.0]`` for one mode),
-    are derived from the covariance once, when the state is built. The
+    are derived from the covariance once, when the state is built. A mean
+    whose squared norm ||d||^2 overflows raises :class:`NonFiniteError`. The
     spectrum comes from V's Cholesky factor, so a state built directly on a V
     that is not positive definite raises :class:`numpy.linalg.LinAlgError`.
     Nothing is written to a state once it is built. States compare and hash
@@ -131,6 +132,9 @@ class GaussianState:
         for a in (self.cov, self.mean):
             a.setflags(write=False)
         object.__setattr__(self, "scale", finite_scale(self.cov, "the covariance"))
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.mean.dot(self.mean)):
+                raise NonFiniteError("the squared norm of the mean overflows")
         spectrum = _symplectic_spectrum(self.cov)
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
@@ -256,17 +260,14 @@ def is_incoherent_state(state: GaussianState) -> list[float] | None:
     (2 n_i + 1) I_2, within :func:`default_tol`. Returns ``None`` otherwise.
     The mean, then ``state.cross`` answer first; only a state within
     tolerance on both reads its mode blocks' anisotropies, the diagonal of
-    :func:`isotropic_split`'s table in its arithmetic.
+    :func:`isotropic_split`'s table.
     """
     t = DEFAULT_TOL_REL * state.scale
-    cov, mean = state.cov, state.mean
+    mean = state.mean
     # ||d||, in the arithmetic of np.linalg.norm for a real vector
     if math.sqrt(mean.dot(mean)) > t or state.cross.max() > t:
         return None
-    diag = cov.diagonal()
-    lam = (diag[0::2] + diag[1::2]) / 2.0
-    # ||V_ii - lam_i I||_F, in the order of block_norms' sums
-    a, b, c, d = diag[0::2] - lam, cov.diagonal(1)[0::2], cov.diagonal(-1)[0::2], diag[1::2] - lam
-    if np.sqrt((a * a + b * b) + (c * c + d * d)).max() > t:
+    lam, norms = isotropic_split(state.cov)
+    if norms.diagonal().max() > t:
         return None
     return [max((x - 1.0) / 2.0, 0.0) for x in lam.tolist()]

@@ -7,19 +7,19 @@ that group directly and emits the unitary as a verifiable certificate.
 
 After the cheap checks (incoherence, the theorem's hypothesis, the
 symplectic spectrum, the mean's quadratic invariant of
-:func:`_mean_quadratic`, the local weights tr V_ii / 2, which reject the
-pair or pin its permutation when they lie apart, per-mode labels refined by
-the mean holonomies of :func:`_holonomies`), one backtracking walk,
-:func:`_walk`, takes the modes of rho in BFS order over its cross blocks
-and gives each a target mode and an angle together. Every 2x2 block splits
-into a rotation part and a reflection part
-(:func:`gausscoh.core.block_parts`), and each part, like each mean, fixes
-an angle, a difference or a sum of two angles in closed form, so no angle
-is scanned. A placed mode's mean and blocks to the modes placed before it
-are checked at once against the acceptance threshold; each complete
-assignment is accepted only on its full residual. When the labels, or
-before them the local weights alone, leave every mode one target, the walk
-defers those checks, as every one bounds the residual from below: each
+:func:`_mean_quadratic`), each mode of rho gets its target modes: from the
+local weights tr V_ii / 2 when they lie apart, which then reject the pair
+or pin its permutation, else from per-mode labels refined by the mean
+holonomies of :func:`_holonomies`. One backtracking walk, :func:`_walk`,
+takes the modes of rho in BFS order over its cross blocks and gives each a
+target mode and an angle together. Every 2x2 block splits into a rotation
+part and a reflection part (:func:`gausscoh.core.block_parts`), and each
+part, like each mean, fixes an angle, a difference or a sum of two angles
+in closed form, so no angle is scanned. A placed mode's mean and blocks to
+the modes placed before it are checked at once against the acceptance
+threshold; each complete assignment is accepted only on its full residual.
+When every mode has one target, whichever stage pinned it, the walk defers
+those checks, as every one bounds the residual from below: each
 component's free phase is fixed where the checked walk would, or left where
 no part moves with it (the exact gauge of a zero-mean isotropic state), and
 the full residual decides. Only when every leaf so reached fails does a
@@ -444,21 +444,6 @@ def _walk(rho, sigma, accept, anchor, parts, targets, order, parent, full):
     return found, best
 
 
-def _walker(rho, sigma, accept: float, p, q, d, abs_p, abs_q):
-    """:func:`_walk` over rho's BFS tree, as a function of its targets and ``full``;
-    ``abs_p`` and ``abs_q`` are rho's |P| and |Q|."""
-    m = rho.modes
-    # parts below this scale give unreliable angles for the other blocks
-    anchor = max(10.0 * accept, 1e-6)
-    strong = (abs_p > anchor) | (abs_q > anchor)
-    strong.flat[:: m + 1] = False
-    order, parent = _bfs_order(strong.tolist())
-    parts = (p.tolist(), q.tolist(), d.tolist())
-    return lambda targets, full: _walk(
-        rho, sigma, accept, anchor, parts, targets, order, parent, full
-    )
-
-
 def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     """Backtracking search for a permutation and angles taking rho to sigma.
 
@@ -475,19 +460,19 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     When some mean is nonzero, x^t V x of :func:`_mean_quadratic` comes
     first: two values further apart than the holonomy band of :func:`_bands`
     give "mode fingerprints" before any label is taken, as the per-mode
-    terms x_i^t (V x)_i, whose sums differ, cannot be matched. Local
-    weights tr V_ii / 2 (the labels' first column) of rho over 3 label bands
-    apart settle the pair before any block part: the first column then
-    allows only the rank matching. Sorted weights of sigma off by over a
-    band give "mode fingerprints"; else :func:`_walk` runs on that matching
-    without its per-mode tests, and if it finds nothing, only the matched
-    rows of the labels are compared, to reject or to add the full walk.
-    A mode may go only to modes with its labels within the label band; when
-    that leaves a choice and a mean is nonzero, also with its holonomies
-    within the holonomy band. A mode left without one: "mode fingerprints".
-    When every mode is left one, :func:`_walk` first runs without its
-    per-mode tests; only when the leaves it reaches all fail does a second,
-    full walk find which of them the search reaches, for ``best_residual``.
+    terms x_i^t (V x)_i, whose sums differ, cannot be matched. Then each
+    mode gets its targets, from one of two stages. Local weights tr V_ii / 2
+    (the labels' first column) of rho over 3 label bands apart allow only
+    the rank matching, before any block part: sorted weights of sigma off by
+    over a band give "mode fingerprints", else each mode's one target is its
+    rank's. Otherwise a mode may go only to modes with its labels within the
+    label band; when that leaves a choice and a mean is nonzero, also with
+    its holonomies within the holonomy band. A mode left without one: "mode
+    fingerprints". One :func:`_walk` then searches the targets. When every
+    mode has one, it first runs without its per-mode tests; when that finds
+    nothing, a weight pin compares the matched rows of the labels, to
+    reject, and only when a leaf was reached does a second, full walk find
+    which leaves the search reaches, for ``best_residual``.
     """
     m = rho.modes
     displaced = rho.mean.any() or sigma.mean.any()
@@ -500,7 +485,7 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     diag_r, diag_s = rho.cov.diagonal(), sigma.cov.diagonal()
     tr_r, tr_s = diag_r[0::2] + diag_r[1::2], diag_s[0::2] + diag_s[1::2]
     ranked = sorted(tr_r.tolist())
-    pin = walk = first = None
+    pin = None
     # two bands keep sigma's other weights out of a mode's band; a third absorbs rounding
     if min(map(operator.sub, ranked[1:], ranked), default=math.inf) > 6.0 * band:
         # a sigma weight within a band of one of rho's is within it of no other
@@ -511,40 +496,39 @@ def _search(rho, sigma, accept: float) -> EquivalenceVerdict:
     d = np.array([rho.mean, sigma.mean]).view(complex)
     p, q = block_parts(np.array([rho.cov, sigma.cov]))
     if pin is not None:
-        walk = _walker(rho, sigma, accept, p, q, d, np.abs(p[0]), np.abs(q[0]))
-        first = walk([[k] for k in pin.tolist()], False)
-        if first[0] is not None:
-            return first[0]
-    abs_p, abs_q = np.abs(p), np.abs(q)
-    lab_r, lab_s = _labels(p, abs_p, abs_q, d)
-    if pin is None:
+        # the walk needs only rho's |P| and |Q|, and no label
+        abs_p, abs_q = np.abs(p[:1]), np.abs(q[:1])
+        targets = [[k] for k in pin.tolist()]
+    else:
+        abs_p, abs_q = np.abs(p), np.abs(q)
+        lab_r, lab_s = _labels(p, abs_p, abs_q, d)
         compatible = (np.abs(lab_r[:, None] - lab_s[None, :]) <= band).all(axis=2)
-    else:
-        # the weights leave mode i no target but pin[i]: only that row can match
-        compatible = np.zeros((m, m), dtype=bool)
-        compatible[np.arange(m), pin] = (np.abs(lab_r - lab_s[pin]) <= band).all(axis=1)
-    pairs = np.count_nonzero(compatible)
-    # refine only a choice the moduli leave; with zero means every holonomy is 0
-    if pairs > m and displaced:
-        hol_r, hol_s = _holonomies(p, q, d)
-        compatible &= (np.abs(hol_r[:, None] - hol_s[None, :]) <= h_band).all(axis=2)
-        pairs = np.count_nonzero(compatible)
-    if not (compatible.any(axis=0).all() and compatible.any(axis=1).all()):
-        return NotEquivalent(witness="mode fingerprints")
-
-    walk = walk or _walker(rho, sigma, accept, p, q, d, abs_p[0], abs_q[0])
-    if pairs == m:
-        # the labels pin the permutation: no choice of target is left to search
-        targets = [[k] for k in compatible.argmax(axis=1).tolist()]
-        # after a weight pin it is the weights' permutation, already walked
-        found, best = first or walk(targets, False)
-        if found is None and best < math.inf:
-            found, best = walk(targets, True)
-    else:
+        # refine only a choice the moduli leave; with zero means every holonomy is 0
+        if np.count_nonzero(compatible) > m and displaced:
+            hol_r, hol_s = _holonomies(p, q, d)
+            compatible &= (np.abs(hol_r[:, None] - hol_s[None, :]) <= h_band).all(axis=2)
+        if not (compatible.any(axis=0).all() and compatible.any(axis=1).all()):
+            return NotEquivalent(witness="mode fingerprints")
         targets = [list(itertools.compress(range(m), row)) for row in compatible.tolist()]
-        found, best = walk(targets, True)
-    if found is not None:
-        return found
+
+    # parts below this scale give unreliable angles for the other blocks
+    anchor = max(10.0 * accept, 1e-6)
+    strong = (abs_p[0] > anchor) | (abs_q[0] > anchor)
+    strong.flat[:: m + 1] = False
+    order, parent = _bfs_order(strong.tolist())
+    parts = (p.tolist(), q.tolist(), d.tolist())
+    # with one target per mode, the per-mode tests wait for a failed walk
+    for full in (any(len(row) > 1 for row in targets), True):
+        found, best = _walk(rho, sigma, accept, anchor, parts, targets, order, parent, full)
+        if found is not None:
+            return found
+        if not full and pin is not None:
+            # the weights leave mode i no target but pin[i]: only that row can match
+            lab_r, lab_s = _labels(p, np.abs(p), np.abs(q), d)
+            if not (np.abs(lab_r - lab_s[pin]) <= band).all():
+                return NotEquivalent(witness="mode fingerprints")
+        if full or math.isinf(best):
+            break
     return NotEquivalent(
         witness="search exhausted", best_residual=None if math.isinf(best) else best
     )

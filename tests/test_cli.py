@@ -190,8 +190,9 @@ class TestExitCodes:
              "--d-corr", "0"],
             ["make", "squeezed", "--beta=355"],
             ["make", "squeezed", "--beta=356"],
+            ["make", "coherent", "--alpha", "1e200"],
         ],
-        ids=["standard-form-norm", "squeezed-entries", "squeezed-sinh"],
+        ids=["standard-form-norm", "squeezed-entries", "squeezed-sinh", "coherent-mean"],
     )
     def test_overflowing_make_is_input_error(self, argv):
         # not a traceback with exit 1, nor a state with numpy overflow warnings

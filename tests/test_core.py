@@ -198,6 +198,19 @@ class TestValidateState:
         edge = gc.validate_state(9e153 * np.eye(2), np.zeros(2))
         assert edge.scale == pytest.approx(9e153 * np.sqrt(2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("x", [1e200, 1.5e154])
+    def test_overflowing_mean_rejected(self, x):
+        # every entry is finite but ||d||^2 is not: the decider's mean bands
+        # would be infinite, and the state not equivalent to itself
+        with pytest.raises(gc.NonFiniteError, match="squared norm of the mean"):
+            gc.validate_state(np.eye(2), (x, 0.0))
+
+    def test_mean_below_the_overflow_is_kept(self):
+        state = gc.validate_state(np.eye(2), (1e154, 0.0))
+        assert gc.decide_equivalence(state, state) == gc.Equivalent(
+            certificate=gc.IncoherentUnitary(perm=(0,), angles=(0.0,)), residual=0.0
+        )
+
     @pytest.mark.parametrize("tol", [float("nan"), -1e-3, float("inf")])
     def test_bad_tolerance_rejected(self, tol):
         # a NaN tolerance would skip the uncertainty check and accept V = 0.1 I;

@@ -28,7 +28,7 @@ from gausscoh.sampling import (
     perturbed_pair,
     random_incoherent_unitary,
 )
-from test_equivalence import _isotropic_ring, _tensor_spy
+from test_equivalence import _isotropic_ring, _label_spy, _tensor_spy, _walk_spy
 
 GOLDEN = Path(__file__).parent / "golden" / "verdicts.json"
 BEST_RESIDUALS = Path(__file__).parent / "golden" / "best_residuals.json"
@@ -170,3 +170,17 @@ def test_exhausted_generic_pairs_compare_only_the_pinned_rows(monkeypatch):
         assert repr(verdict.best_residual) == want[label]
         exhausted += 1
     assert exhausted == 24 and tensors == []
+
+
+def test_every_pair_takes_one_route_to_the_walk(monkeypatch):
+    # whichever stage pins the permutation, a decide builds at most one label
+    # table, and its walks are none, one, or a deferred walk that reached a
+    # failing leaf and then the checked walk
+    tables, walks = _label_spy(monkeypatch), _walk_spy(monkeypatch)
+    for label, pair in _pairs():
+        tables.clear(), walks.clear()
+        verdict = gc.decide_equivalence(*pair)
+        v = verdict if isinstance(verdict, gc.Equivalent) else None
+        routes = ([], [(False, v)], [(False, None)], [(False, None), (True, v)], [(True, v)])
+        assert len(tables) <= 1, label
+        assert walks in routes, label
