@@ -5,6 +5,11 @@ positivity requires N + i(Omega - T Omega T^t) >= 0. Incoherent channels
 have shift = 0, a block-structured T (one scaled-orthogonal 2x2 block per
 column pair), N a direct sum of omega_j I_2, and omega_j large enough to
 cover the symplectic deficit at each target mode.
+
+Both the classifier and the sampler read T's blocks in the decider's form,
+p R(alpha) + q R(beta) Z (:func:`gausscoh.core.block_parts`). A block is
+t O exactly when pq = 0, and then t^2 = p^2 + q^2 and t^2 det O = p^2 - q^2,
+so mode i's noise floor is |1 - sum (p^2 - q^2)| over its live blocks.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .core import (
     DEFAULT_TOL_REL,
     GaussianState,
     block_norms,
+    block_parts,
     checked_arrays,
     checked_tol,
     default_tol,
@@ -131,24 +137,11 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
     return validate_state(cov, mean)
 
 
-def _noise_floors(targets, scales, rotations) -> list:
-    """|1 - sum_{k -> i} t_k^2 det O_k| for each mode i: its least noise weight."""
-    gains = [0] * len(targets)
-    for i, t, o in zip(targets, scales, rotations):
-        gains[i] += t**2 * np.linalg.det(o)
-    return [abs(1.0 - gain) for gain in gains]
-
-
-def _scaled_orthogonal(block: np.ndarray, tol: float) -> tuple[float, np.ndarray] | None:
-    """Decompose ``block`` as t * O with O orthogonal, or None if it is not."""
-    gram = block.T @ block
-    t_sq = float(np.trace(gram)) / 2.0
-    if np.linalg.norm(gram - t_sq * np.eye(2)) > tol * max(1.0, t_sq):
-        return None
-    t = float(np.sqrt(t_sq))
-    if t == 0.0:
-        return None
-    return t, block / t
+def _noise_floors(P: np.ndarray, Q: np.ndarray, live: np.ndarray | bool) -> np.ndarray:
+    """Each mode's least noise weight |1 - sum_j t_j^2 det O_j| over the live
+    blocks t_j O_j of its row pair, with t^2 det O = |P|^2 - |Q|^2."""
+    gains = np.where(live, abs(P) ** 2 - abs(Q) ** 2, 0.0)
+    return np.abs(1.0 - gains.sum(axis=1))
 
 
 def classify_incoherent(
@@ -168,34 +161,33 @@ def classify_incoherent(
         return Classification("not-incoherent", reason="nonzero shift")
 
     live_blocks = block_norms(channel.T) > t_abs
-    targets: list[int] = []
-    scales: list[float] = []
-    rotations: list[np.ndarray] = []
+    P, Q = block_parts(channel.T)
+    # a vanished input mode keeps scale 0 with a conventional target
+    targets = list(range(m))
+    scales = [0.0] * m
+    rotations = [np.eye(2)] * m
     for j in range(m):
         live = np.flatnonzero(live_blocks[:, j])
-        if len(live) == 0:
-            # vanished input mode: scale 0 with a conventional target
-            targets.append(j)
-            scales.append(0.0)
-            rotations.append(np.eye(2))
-            continue
         if len(live) > 1:
             return Classification(
                 "not-incoherent",
                 reason=f"column pair {j} has {len(live)} nonzero blocks "
                 "(exactly one required)",
             )
+        if len(live) == 0:
+            continue
         i = int(live[0])
-        block = channel.T[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-        decomp = _scaled_orthogonal(block, t_abs)
-        if decomp is None:
+        # ||B^t B - t^2 I||_F = 2 sqrt(2) pq, zero exactly when B = t O
+        p, q = abs(P[i, j]), abs(Q[i, j])
+        t_sq = p * p + q * q
+        if 2.0 * np.sqrt(2.0) * p * q > t_abs * max(1.0, t_sq) or t_sq == 0.0:
             return Classification(
                 "not-incoherent",
                 reason=f"block in column pair {j} is not a scaled orthogonal matrix",
             )
-        targets.append(i)
-        scales.append(decomp[0])
-        rotations.append(decomp[1])
+        targets[j] = i
+        scales[j] = float(np.sqrt(t_sq))
+        rotations[j] = channel.T[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] / scales[j]
 
     n_tol = default_tol(channel.N, tol)
     # N = (+) omega_j I_2: every block of N minus its isotropic part vanishes
@@ -215,7 +207,7 @@ def classify_incoherent(
     noise = [float(w) for w in lam]
 
     bound_tol = max(t_abs, n_tol)
-    for i, floor in enumerate(_noise_floors(targets, scales, rotations)):
+    for i, floor in enumerate(_noise_floors(P, Q, live_blocks)):
         if noise[i] < floor - bound_tol:
             return Classification(
                 "not-incoherent",
@@ -255,38 +247,26 @@ def random_igo(
 ) -> GaussianChannel:
     """Sample a random (strictly) incoherent channel.
 
-    Targets form a bijection when ``strict``; scales are uniform in
-    [0, 1.2]; blocks are random O(2) elements (SO(2) when ``unitary``);
-    noise weights sit at their lower bound plus non-negative jitter
-    (exactly at the bound, i.e. zero for scale 1, when ``unitary``).
+    Targets form a bijection when ``strict`` or ``unitary``; scales are
+    uniform in [0, 1.2]; blocks are random O(2) elements (SO(2) when
+    ``unitary``); noise weights sit at their lower bound plus non-negative
+    jitter (exactly at the bound, i.e. zero for scale 1, when ``unitary``).
     """
     if m < 1:
         raise ValueError(f"mode count must be positive, got {m}")
-    if unitary:
-        strict = True
-    if strict:
-        targets = list(rng.permutation(m))
-    else:
-        targets = list(rng.integers(0, m, size=m))
+    targets = rng.permutation(m) if strict or unitary else rng.integers(0, m, size=m)
     scales = np.ones(m) if unitary else rng.uniform(0.0, 1.2, size=m)
-    rotations = []
-    for _ in range(m):
+    T = np.zeros((2 * m, 2 * m))
+    for j, (r, t) in enumerate(zip(targets, scales)):
         o = rotation(rng.uniform(0.0, 2.0 * np.pi))
         if not unitary and rng.random() < 0.5:
             o = o @ np.diag([1.0, -1.0])
-        rotations.append(o)
-    noise = [
-        lower if unitary else lower + rng.uniform(0.0, 0.5)
-        for lower in _noise_floors(targets, scales, rotations)
-    ]
-    spec = IgoSpec(
-        targets=tuple(int(t) for t in targets),
-        scales=tuple(float(t) for t in scales),
-        rotations=tuple(tuple(map(tuple, o)) for o in rotations),
-        noise=tuple(noise),
-        strict=strict,
-    )
-    return igo_channel(spec)
+        T[2 * r : 2 * r + 2, 2 * j : 2 * j + 2] = t * o
+    noise = _noise_floors(*block_parts(T), True)
+    if not unitary:
+        noise += rng.uniform(0.0, 0.5, size=m)
+    N = np.kron(np.diag(noise), np.eye(2))
+    return validate_channel(T, N, np.zeros(2 * m))
 
 
 def petz_recovery(channel: GaussianChannel, reference: GaussianState) -> GaussianChannel:
@@ -308,7 +288,7 @@ def petz_recovery(channel: GaussianChannel, reference: GaussianState) -> Gaussia
         )
     image = apply_channel(channel, reference)
     k_bars = is_incoherent_state(image)
-    if k_bars is None:  # pragma: no cover - IGOs preserve incoherence
+    if k_bars is None:  # IGOs preserve incoherence, so this is a numeric failure
         raise NumericError("image of the thermal reference is not incoherent")
     if any(k <= 1e-12 for k in k_bars):  # a vacuum image mode
         raise NotFaithfulError(

@@ -2,9 +2,9 @@
 
 Every subcommand reads/writes single JSON documents. Exit codes:
 0 success, 1 negative domain verdict (not equivalent / not incoherent /
-not frozen), 2 input error, 3 numeric error. Each subcommand imports the
-modules it uses inside its branch of ``_dispatch``, so that a call loads no
-more of the package than it runs.
+not frozen), 2 input error (also an input too large to allocate), 3 numeric
+error. Each subcommand imports the modules it uses inside its branch of
+``_dispatch``, so that a call loads no more of the package than it runs.
 """
 
 from __future__ import annotations
@@ -254,8 +254,9 @@ def run(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         _emit_error("numeric-error", exc)
         return EXIT_NUMERIC
-    # RecursionError: a JSON document nested too deeply to parse
-    except (GaussCohError, OSError, ValueError, RecursionError) as exc:
+    # RecursionError: a JSON document nested too deeply to parse;
+    # MemoryError: an input, such as a mode count, too large to allocate
+    except (GaussCohError, OSError, ValueError, RecursionError, MemoryError) as exc:
         _emit_error(type(exc).__name__, exc)
         return EXIT_INPUT
     print(ser.dumps(doc, pretty=args.pretty))

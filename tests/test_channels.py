@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gausscoh as gc
+from gausscoh import channels
 from gausscoh.channels import igo_channel, rotation_channel
 from gausscoh.sampling import RandomStateRecipe, random_state
 
@@ -200,10 +201,22 @@ class TestClassifyIncoherent:
         assert cls.verdict == "not-incoherent"
         assert cls.reason == "N block at mode 0 is not a multiple of the identity"
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_spec_round_trip(self, seed):
+    # unitary samples sit exactly at their noise floors, so the sampler's and
+    # the parser's floors must agree to within tolerance
+    @pytest.mark.parametrize(
+        "m, unitary, seed",
+        [pytest.param(3, False, seed, id=str(seed)) for seed in range(10)]
+        + [
+            pytest.param(m, unitary, seed, id=f"m{m}-{'unitary-' * unitary}{seed}")
+            for m in range(1, 5)
+            for unitary in (False, True)
+            for seed in range(4)
+            if unitary or m != 3
+        ],
+    )
+    def test_spec_round_trip(self, m, unitary, seed):
         rng = np.random.default_rng(seed)
-        ch = gc.random_igo(3, strict=bool(seed % 2), rng=rng)
+        ch = gc.random_igo(m, strict=bool(seed % 2), rng=rng, unitary=unitary)
         spec = gc.classify_incoherent(ch).spec
         rebuilt = igo_channel(spec)
         np.testing.assert_allclose(rebuilt.T, ch.T, atol=1e-12)
@@ -305,3 +318,33 @@ class TestPetzRecovery:
     def test_rejects_vacuum_reference(self):
         with pytest.raises(ValueError):
             gc.petz_recovery(rotation_channel(0.1), gc.vacuum())
+
+    # the NumericError guards, each reached by breaking the step it checks
+    def test_non_incoherent_image_is_numeric_error(self, monkeypatch):
+        reference, real = gc.thermal([1.0]), channels.is_incoherent_state
+        monkeypatch.setattr(
+            channels, "is_incoherent_state", lambda s: real(s) if s is reference else None
+        )
+        with pytest.raises(gc.NumericError, match="image of the thermal reference"):
+            gc.petz_recovery(rotation_channel(0.3), reference)
+
+    def test_non_cp_recovery_is_numeric_error(self, monkeypatch):
+        ch = rotation_channel(0.3)
+
+        def refuses(T, N, shift):
+            raise gc.NotCompletelyPositiveError("min eigenvalue -1", min_eigenvalue=-1.0)
+
+        monkeypatch.setattr(channels, "validate_channel", refuses)
+        with pytest.raises(gc.NumericError, match="failed complete positivity") as err:
+            gc.petz_recovery(ch, gc.thermal([1.0]))
+        assert isinstance(err.value.__cause__, gc.NotCompletelyPositiveError)
+
+    def test_non_incoherent_recovery_is_numeric_error(self, monkeypatch):
+        ch, real = rotation_channel(0.3), channels.classify_incoherent
+        monkeypatch.setattr(
+            channels,
+            "classify_incoherent",
+            lambda c: real(c) if c is ch else channels.Classification("not-incoherent"),
+        )
+        with pytest.raises(gc.NumericError, match="recovery channel is not incoherent"):
+            gc.petz_recovery(ch, gc.thermal([1.0]))

@@ -325,6 +325,19 @@ class TestExitCodes:
         code, _, err = run_cli(["petz", rotation_file, "--thermal", "-1.0"])
         assert code == 2
 
+    def test_out_of_memory_is_input_error(self, coherent_file, monkeypatch):
+        # as numpy raises for an array too large to allocate, e.g. gen --modes 200000
+        def refuses(path, tol=None):
+            raise MemoryError("Unable to allocate 1.16 TiB")
+
+        monkeypatch.setattr(ser, "load_state", refuses)
+        code, out, err = run_cli(["validate", coherent_file])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "kind": "MemoryError", "detail": "Unable to allocate 1.16 TiB"
+        }
+
 
 STATE = {"modes": 1, "mean": [0, 0], "cov": [[2, 0], [0, 2]]}
 CHANNEL = {"modes": 1, "T": [[1, 0], [0, 1]], "N": [[0, 0], [0, 0]], "shift": [0, 0]}

@@ -47,6 +47,18 @@ class TestRandomState:
         state = random_state(RandomStateRecipe(modes=3, seed=seed))
         assert gc.check_hypothesis(state) is None
 
+    def test_gives_up_after_64_draws(self, monkeypatch):
+        draws = []
+
+        def every_mode_fails(state):
+            draws.append(state)
+            return 0
+
+        monkeypatch.setattr(sampling, "check_hypothesis", every_mode_fails)
+        with pytest.raises(RuntimeError, match="failed to sample a state"):
+            random_state(RandomStateRecipe(modes=2, seed=0))
+        assert len(draws) == 64
+
 
 class TestRandomIncoherentUnitary:
     def test_valid_permutation(self):
